@@ -147,7 +147,7 @@ struct SweepTable {
 /// always hashes equal, so this is the cache/dedupe key of the service
 /// layer — but the hash is not cryptographic, so reuse sites must still
 /// verify the stored grid against the requested one before serving a
-/// shared table (SweepService does; see table_matches_grid).
+/// shared table (the submit pipeline does; see same_grid).
 struct GridSignature {
   std::uint64_t value = 0;
 

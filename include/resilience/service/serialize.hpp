@@ -62,16 +62,21 @@ struct SimTable;
 [[nodiscard]] util::JsonValue to_json(const ServiceStats& stats);
 
 /// CostEstimate -> JSON: {"units","cells","chains","seeded_chains",
-/// "identity_hit"} — the admission-time prediction, embedded as the
-/// "cost" member of an opt-in done-line stats block so estimates are
-/// auditable against the latencies the transport records.
+/// "identity_hit"} — the admission-time prediction (see stats_block).
 [[nodiscard]] util::JsonValue to_json(const CostEstimate& estimate);
+
+/// The opt-in done-line stats block: to_json(stats) with the
+/// admission-time CostEstimate appended last as a "cost" member, so
+/// estimates are auditable against the latencies the transport records.
+[[nodiscard]] util::JsonValue stats_block(const ServiceStats& stats,
+                                          const CostEstimate& cost);
 
 /// One streamed-response JSONL line (no trailing newline):
 ///   cell_line  -> {"type":"cell","request":...,"signature":...,<cell>}
 ///   done_line  -> {"type":"done", summary of the finished table; with a
-///                  non-null `stats` a trailing "stats" block (requests
-///                  opt in via "stats": true)}
+///                  non-null `stats` a trailing "stats" block, embedded
+///                  verbatim (requests opt in via "stats": true; the
+///                  router passes its merged {"shards": [...]} block)}
 ///   stats_line -> {"type":"stats","request":...,<ServiceStats blocks>}
 ///   error_line -> {"type":"error","request":...,"field":...,"message":...}
 ///   overloaded_line -> an error line extended with a machine-readable
@@ -80,12 +85,10 @@ struct SimTable;
 ///                  (nothing executed), unlike plain error lines
 ///   pong_line  -> {"type":"pong","request":...} — the health probe's
 ///                 answer; a terminal line like done/stats/error
-/// done_line's optional `cost` appends the admission-time CostEstimate as
-/// a "cost" member of the (also optional) stats block; stats_line's
-/// optional `transport` appends a transport-layer block (scheduler
-/// counters + latency histograms — see NetServer::overload_stats_json)
-/// after the service/cache blocks. Both are opt-in so the stdin path's
-/// bytes are untouched.
+/// stats_line's optional `transport` appends a transport-layer block
+/// (scheduler counters + latency histograms — see
+/// NetServer::overload_stats_json) after the service/cache blocks. Both
+/// optional blocks are opt-in so the stdin path's bytes are untouched.
 [[nodiscard]] std::string cell_line(const std::string& request_id,
                                     core::GridSignature signature,
                                     const core::SweepCell& cell);
@@ -93,34 +96,19 @@ struct SimTable;
                                     core::GridSignature signature,
                                     const core::SweepTable& table,
                                     bool cache_hit, bool joined_in_flight,
-                                    const ServiceStats* stats = nullptr,
-                                    const CostEstimate* cost = nullptr);
-/// Variant taking a pre-assembled stats block verbatim — the router's
-/// merged done line embeds {"shards": [...]} (per-shard stats in fleet
-/// config order), which is not a local ServiceStats snapshot.
-[[nodiscard]] std::string done_line(const std::string& request_id,
-                                    core::GridSignature signature,
-                                    const core::SweepTable& table,
-                                    bool cache_hit, bool joined_in_flight,
-                                    const util::JsonValue& stats_block);
+                                    const util::JsonValue* stats = nullptr);
 /// Simulate-mode lines, same shape discipline as the sweep ones:
 ///   sim_cell_line -> {"type":"cell", ..., "mean","ci_low","ci_high",
 ///                     "runs","early_stopped"}
 ///   sim_done_line -> {"type":"done", ..., "mode":"simulate", "runs"
-///                     (total over all cells), optional stats/cost}
-/// The JsonValue-stats variant mirrors done_line's (router merges).
+///                     (total over all cells), optional stats block}
 [[nodiscard]] std::string sim_cell_line(const std::string& request_id,
                                         core::GridSignature signature,
                                         const SimCell& cell);
 [[nodiscard]] std::string sim_done_line(const std::string& request_id,
                                         core::GridSignature signature,
                                         const SimTable& table, bool cache_hit,
-                                        const ServiceStats* stats = nullptr,
-                                        const CostEstimate* cost = nullptr);
-[[nodiscard]] std::string sim_done_line(const std::string& request_id,
-                                        core::GridSignature signature,
-                                        const SimTable& table, bool cache_hit,
-                                        const util::JsonValue& stats_block);
+                                        const util::JsonValue* stats = nullptr);
 [[nodiscard]] std::string stats_line(const std::string& request_id,
                                      const ServiceStats& stats,
                                      const util::JsonValue* transport = nullptr);

@@ -11,19 +11,19 @@
 // (sim_cell_seed), so a router shard computing a slice of the grid emits
 // the same cell bytes the whole grid would.
 //
-// Reuse: two tiers, sharing SweepCache with the analytic path —
-//   1. identity hit — the same sim signature was computed before
-//      (memory or the cache_dir disk tier); cells replay in table order.
-//   2. compute      — cold: run the campaigns, publish the table.
-// No in-flight join and no seed tier for simulate results (scope:
-// campaigns are budget-bounded, so duplicated concurrent computes cost a
-// bounded amount; cross-request partial reuse of Monte Carlo runs has no
-// analytic analogue of "bit-equal points").
+// Reuse: the shared reuse ladder (submit_pipeline.hpp) over the sim
+// store of SweepCache — an identity hit (memory or the cache_dir disk
+// tier) replays cells in table order, and concurrent identical submits
+// join one in-flight leader. There is no seed tier: cross-request partial
+// reuse of Monte Carlo runs has no analytic analogue of "bit-equal
+// points".
 //
 // Cancellation/deadlines: the submit token is polled between run batches
 // of every campaign (sim/adaptive.hpp check_cancel) — batches are the sim
 // path's cell-granularity analogue — and a fired token unwinds with
-// core::SweepCancelled; no partial table is published.
+// core::SweepCancelled; no partial table is published, and an expired
+// deadline counts in the service's deadline_timeouts. A submission joined
+// to an identical in-flight one polls its own token while it waits.
 
 #include <atomic>
 #include <cstdint>
@@ -33,6 +33,7 @@
 #include "resilience/core/cancel.hpp"
 #include "resilience/service/scenario_request.hpp"
 #include "resilience/service/sim_table.hpp"
+#include "resilience/service/submit_pipeline.hpp"
 #include "resilience/service/sweep_cache.hpp"
 
 namespace resilience::util {
@@ -41,24 +42,21 @@ class ThreadPool;  // campaigns only carry a pointer; see thread_pool.hpp
 
 namespace resilience::service {
 
+struct ServiceStats;  // sweep_service.hpp
+
 /// Outcome of one simulate submission.
-struct SimSubmitResult {
-  std::shared_ptr<const SimTable> table;
-  core::GridSignature signature;
-  bool cache_hit = false;  ///< served from the sim table cache
-  bool disk_hit = false;   ///< the hit was lazily reloaded from disk
-};
+using SimSubmitResult = SubmitOutcome<SimTable>;
 
 /// Receives every finished cell exactly once, in canonical table order
-/// (live on a compute, replayed on a cache hit).
+/// (live on a compute, replayed on a cache hit or in-flight join).
 using SimCellFn = std::function<void(const SimCell&)>;
 
 class SimService {
  public:
-  /// `cache` supplies the sim identity tier (may be null: no caching);
-  /// `pool` is the executor every campaign fans out on (null = global
-  /// pool). Neither is owned; both must outlive the service.
-  SimService(SweepCache* cache, util::ThreadPool* pool);
+  /// `cache` supplies the sim store; `pool` is the executor every
+  /// campaign fans out on (null = global pool). Neither is owned; both
+  /// must outlive the service.
+  SimService(SweepCache& cache, util::ThreadPool* pool);
 
   /// Serves a parsed "mode": "simulate" request; throws
   /// std::invalid_argument if request.simulate is false and
@@ -77,10 +75,7 @@ class SimService {
     return submits_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t cache_hits() const noexcept {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t disk_hits() const noexcept {
-    return disk_hits_.load(std::memory_order_relaxed);
+    return pipeline_.cache_hits();
   }
   [[nodiscard]] std::uint64_t cells_computed() const noexcept {
     return cells_.load(std::memory_order_relaxed);
@@ -88,23 +83,23 @@ class SimService {
   [[nodiscard]] std::uint64_t runs_executed() const noexcept {
     return runs_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t early_stops() const noexcept {
-    return early_stops_.load(std::memory_order_relaxed);
-  }
   /// runs_executed over accumulated compute wall time; 0 before the
   /// first compute finishes.
   [[nodiscard]] double runs_per_second() const noexcept;
+  /// Writes the stats.sim block into `stats` and adds this service's
+  /// deadline expiries to stats.deadline_timeouts.
+  void add_to(ServiceStats& stats) const;
 
  private:
-  std::shared_ptr<const SimTable> compute(const ScenarioRequest& request,
-                                          const SimCellFn& sink,
-                                          const core::CancelToken& cancel);
+  std::shared_ptr<const SimTable> compute(
+      const std::vector<core::ScenarioPoint>& points,
+      const std::vector<core::PatternKind>& kinds, const SimParams& sim_params,
+      const SimCellFn& sink, const core::CancelToken& cancel);
 
-  SweepCache* cache_;
+  SweepCache& cache_;
   util::ThreadPool* pool_;
+  SubmitPipeline<SimTable> pipeline_;
   std::atomic<std::uint64_t> submits_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> disk_hits_{0};
   std::atomic<std::uint64_t> cells_{0};
   std::atomic<std::uint64_t> runs_{0};
   std::atomic<std::uint64_t> early_stops_{0};

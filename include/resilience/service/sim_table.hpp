@@ -69,7 +69,7 @@ struct SimTable {
 /// Content identity of a simulate computation: the analytic grid signature
 /// of (points, kinds) extended with every SimParams field. Carried as a
 /// core::GridSignature for its hex round trip; sim and sweep signatures
-/// never collide in the cache (the tiers are separate maps) and the "sim-"
+/// never collide in the cache (they live in separate stores) and the "sim-"
 /// domain tag keeps them from hashing equal anyway.
 [[nodiscard]] core::GridSignature sim_signature(
     const std::vector<core::ScenarioPoint>& points,

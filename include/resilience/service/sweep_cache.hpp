@@ -1,206 +1,117 @@
 #pragma once
 
-// Thread-safe LRU cache of finished sweep tables keyed by GridSignature,
-// grown into a partial-result accelerator with three tiers:
+// The service's result cache: one TieredStore per result kind (see
+// tiered_store.hpp) sharing a capacity and a cache directory, plus a seed
+// tier layered on the analytic store.
 //
-//  * identity tier — find(signature): the exact table was computed before;
-//    a hit hands out the same shared immutable table the compute produced,
-//    so it is bit-identical to a recompute by construction.
-//  * seed tier — seeds_for(chain key): any cached table sharing a chain
-//    (same base platform + cost override + family + result-affecting
+//  * analytic tables — find/insert, tables(): the identity LRU and the
+//    verified '<dir>/<signature-hex>.json' spill of core::SweepTable.
+//  * simulate tables — sims(): the same store instantiated for SimTable,
+//    spilled as '<dir>/<signature-hex>.sim.json'. Monte Carlo campaigns
+//    share no "bit-equal point" granularity, so they have no seed tier.
+//  * seed tier — seeds_for(chain key): any cached analytic table sharing a
+//    chain (same base platform + cost override + family + result-affecting
 //    options — see core::ChainKey) supplies that chain's finished cells as
-//    ChainSeeds, so a *different* grid warm-starts from — and, at bit-equal
-//    resolved parameters, outright reuses — per-point optima.
-//  * disk tier — with a cache_dir, evicted and shutdown entries spill to
-//    '<dir>/<signature-hex>.json' (the canonical SweepTable serialization,
-//    whose round trip is byte-identical) plus a 'seed_index.json' sidecar
-//    recording each spilled table's chains. Both the identity and seed
-//    tiers reload lazily: a lookup that misses memory parses the file,
-//    re-derives the content signature under the caller's options and
-//    rejects — with a stderr warning — any file whose content does not
-//    hash back to its filename. A corrupt or foreign spill (or one written
-//    under different result-affecting options) is never served.
-//
-// Simulate-mode tables (service/sim_table.hpp) get a parallel identity
-// tier — find_sim/insert_sim/contains_sim over their own LRU of the same
-// capacity, spilled to '<dir>/<signature-hex>.sim.json' with the same
-// checksum + content-signature verification. Sim tables have no seed
-// tier: Monte Carlo campaigns share no "bit-equal point" granularity the
-// way analytic chains do.
+//    ChainSeeds, so a *different* grid warm-starts from — and, at
+//    bit-equal resolved parameters, outright reuses — per-point optima.
+//    The chain index follows the analytic store through its Listener
+//    hooks and persists as a 'seed_index.json' sidecar recording each
+//    spilled table's chains, so related grids seed across a restart too.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "resilience/core/sweep.hpp"
+#include "resilience/service/tiered_store.hpp"
 
 namespace resilience::service {
 
-struct SimTable;  // sim_table.hpp; the cache only stores shared tables
-
-class SweepCache {
+class SweepCache final
+    : private TieredStore<core::SweepTable>::Listener {
  public:
-  /// `capacity` is the maximum number of retained tables; 0 disables
-  /// caching entirely — find always misses, insert is a no-op, and any
-  /// `cache_dir` is ignored. Otherwise a non-empty `cache_dir` enables
-  /// the disk tier: the directory is created if missing, existing spills
-  /// are indexed (lazily — filenames and the seed sidecar only; tables
-  /// load on first use), and retained entries spill there on eviction and
-  /// destruction. Spill *writes* happen with the mutex released (see
-  /// spill_evicted); lazy *loads* parse under the lock — they occur at
-  /// most once per entry per process (first use after a restart), which
-  /// keeps the steady-state serving path unstalled. Revisit if restart
-  /// warm-up ever contends.
+  using TablePtr = std::shared_ptr<const core::SweepTable>;
+
+  /// `capacity` bounds each store's retained tables (0 disables caching,
+  /// disk tier included); a non-empty `cache_dir` enables the disk tiers
+  /// and reloads an existing sidecar's chain index.
   explicit SweepCache(std::size_t capacity = 64, std::string cache_dir = "");
 
-  /// Spills every retained entry to the disk tier (when enabled).
+  /// Spills every retained entry of both stores, and the sidecar.
   ~SweepCache();
 
   SweepCache(const SweepCache&) = delete;
   SweepCache& operator=(const SweepCache&) = delete;
 
-  /// Returns the cached table and marks it most-recently-used; nullptr on
-  /// a miss. This overload never touches the disk tier.
-  [[nodiscard]] std::shared_ptr<const core::SweepTable> find(
-      core::GridSignature signature);
+  /// Analytic memory-then-disk lookup; disk loads re-sign under `options`.
+  [[nodiscard]] TablePtr find(core::GridSignature signature,
+                              const core::SweepOptions& options,
+                              bool* loaded_from_disk = nullptr) {
+    return tables_.find(signature, options, loaded_from_disk);
+  }
 
-  /// Memory-then-disk lookup: on a memory miss, loads and verifies
-  /// '<dir>/<hex>.json' (content must re-hash to `signature` under
-  /// `options`), promotes it into the LRU and returns it. Sets
-  /// *loaded_from_disk when the hit came from the disk tier.
-  [[nodiscard]] std::shared_ptr<const core::SweepTable> find(
-      core::GridSignature signature, const core::SweepOptions& options,
-      bool* loaded_from_disk = nullptr);
-
-  /// Inserts (or refreshes) an entry, evicting — and, with a cache_dir,
-  /// spilling — the least-recently-used table when over capacity.
-  /// Inserting under an existing signature replaces the entry; outstanding
-  /// shared_ptrs stay valid. The chains-aware overload additionally
-  /// indexes the table's chains for seeds_for().
-  void insert(core::GridSignature signature,
-              std::shared_ptr<const core::SweepTable> table);
-  void insert(core::GridSignature signature,
-              std::shared_ptr<const core::SweepTable> table,
+  /// Inserts an analytic table and indexes its chains for seeds_for().
+  void insert(core::GridSignature signature, TablePtr table,
               std::vector<core::GridChain> chains);
 
   /// Finished cells of every cached chain matching `key`, from memory or
-  /// (verified) disk. `options` verify lazily loaded files; tables that
-  /// fail verification are skipped with a warning. Empty when no cached
-  /// grid shares the chain.
+  /// (verified) disk; `options` verify lazily loaded files. Empty when no
+  /// cached grid shares the chain.
   [[nodiscard]] std::vector<core::ChainSeed> seeds_for(
       core::ChainKey key, const core::SweepOptions& options);
 
-  /// Non-mutating probe: would find(signature) hit (memory or disk tier)?
-  /// Purely observational — no LRU promotion, no hit/miss counter bump, no
-  /// disk IO — so cost estimation can consult the cache without perturbing
-  /// the stats the protocol exposes. A `true` for a disk-resident entry is
-  /// optimistic (the file might still fail verification on load); the
-  /// estimator only needs "probably warm", not a guarantee.
-  [[nodiscard]] bool contains(core::GridSignature signature) const;
-
   /// Non-mutating probe: does the seed tier advertise at least one cached
-  /// chain under `key`? Same observational contract as contains().
+  /// chain under `key`? No LRU promotion, no counters, no IO.
   [[nodiscard]] bool has_seeds(core::ChainKey key) const;
 
-  /// Sim identity tier: memory-then-disk lookup of a simulate table. A
-  /// disk hit re-derives the content signature (sim_signature over the
-  /// loaded points/kinds/params) and rejects mismatches exactly like the
-  /// sweep tier. Sets *loaded_from_disk on a disk-tier hit.
-  [[nodiscard]] std::shared_ptr<const SimTable> find_sim(
-      core::GridSignature signature, bool* loaded_from_disk = nullptr);
-
-  /// Inserts (or refreshes) a sim table; evictions spill to
-  /// '<hex>.sim.json' when the disk tier is enabled.
-  void insert_sim(core::GridSignature signature,
-                  std::shared_ptr<const SimTable> table);
-
-  /// Non-mutating probe like contains(), over the sim tier.
-  [[nodiscard]] bool contains_sim(core::GridSignature signature) const;
-
-  /// Spills all in-memory entries (and the seed sidecar) without dropping
-  /// them from memory; no-op without a cache_dir. The destructor calls it.
-  void persist_now();
-
-  /// Drops every in-memory entry; the disk tier is untouched.
-  void clear();
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] const std::string& cache_dir() const noexcept {
-    return cache_dir_;
+  /// Read-only view of the analytic store (probes and counters()): writes
+  /// go through insert(), which also indexes the table's chains.
+  [[nodiscard]] const TieredStore<core::SweepTable>& tables() const noexcept {
+    return tables_;
   }
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
+  /// The simulate-table store.
+  [[nodiscard]] TieredStore<SimTable>& sims() noexcept { return sims_; }
+  [[nodiscard]] const TieredStore<SimTable>& sims() const noexcept {
+    return sims_;
+  }
+
   /// seeds_for() calls that returned at least one seed.
-  [[nodiscard]] std::uint64_t seed_hits() const;
-  /// Disk-tier tables served (after verification) / rejected (corrupt,
-  /// foreign, or computed under different result-affecting options).
-  [[nodiscard]] std::uint64_t disk_loads() const;
-  [[nodiscard]] std::uint64_t disk_rejects() const;
+  [[nodiscard]] std::uint64_t seed_hits() const noexcept {
+    return seed_hits_.load(std::memory_order_relaxed);
+  }
 
  private:
-  struct Entry {
-    core::GridSignature signature;
-    std::shared_ptr<const core::SweepTable> table;
-    std::vector<core::GridChain> chains;
-  };
+  // Listener hooks, called with the analytic store's lock held.
+  void on_spilled() override;
+  void on_dropped(core::GridSignature signature) override;
 
-  struct SimEntry {
-    core::GridSignature signature;
-    std::shared_ptr<const SimTable> table;
-  };
-
-  /// Serializes and writes `victims` to the disk tier with the mutex
-  /// RELEASED (table serialization and file IO are the expensive part of
-  /// an eviction; doing them under the lock would stall every concurrent
-  /// find/seeds_for), then re-locks to register the outcomes. Victims
-  /// must already be detached from lru_/index_; in the IO window they are
-  /// simply absent from both tiers, which readers treat as a miss.
-  void spill_evicted(std::vector<Entry> victims);
-
-  // All helpers below expect mutex_ to be held.
+  // Helpers below expect seed_mutex_ to be held.
   void index_chains_locked(core::GridSignature signature,
                            const std::vector<core::GridChain>& chains);
   void unindex_chains_locked(core::GridSignature signature,
                              const std::vector<core::GridChain>& chains);
-  void evict_one_locked();
-  void spill_locked(const Entry& entry);
   void write_sidecar_locked();
-  void load_disk_index_locked();
-  [[nodiscard]] std::shared_ptr<const core::SweepTable> load_from_disk_locked(
-      core::GridSignature signature, const core::SweepOptions& options);
-  void spill_sim_locked(const SimEntry& entry);
-  [[nodiscard]] std::shared_ptr<const SimTable> load_sim_from_disk_locked(
-      core::GridSignature signature);
+  /// Constructor only: indexes the chains of the sidecar's spilled tables.
+  void load_sidecar();
+  [[nodiscard]] std::string sidecar_path() const;
 
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::string cache_dir_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-  /// chain key -> signatures of cached tables (memory or disk) containing
-  /// that chain, in insertion order.
+  /// Guards the seed tier. Lock order: a store's mutex, then this one —
+  /// never the reverse.
+  mutable std::mutex seed_mutex_;
+  /// Chains of every reachable analytic table (memory or disk).
+  std::unordered_map<std::uint64_t, std::vector<core::GridChain>> chains_;
+  /// chain key -> signatures of reachable tables containing that chain, in
+  /// insertion order.
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> seed_index_;
-  /// Signatures with a (not yet invalidated) file in the disk tier.
-  std::unordered_set<std::uint64_t> disk_index_;
-  /// Sim identity tier (own LRU of the same capacity; no seed tier).
-  std::list<SimEntry> sim_lru_;  // front = most recently used
-  std::unordered_map<std::uint64_t, std::list<SimEntry>::iterator> sim_index_;
-  std::unordered_set<std::uint64_t> sim_disk_index_;
-  /// Chains of disk-resident tables (from spills + the sidecar), so a
-  /// reloaded entry keeps feeding the seed tier after a later re-eviction.
-  std::unordered_map<std::uint64_t, std::vector<core::GridChain>> disk_chains_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t seed_hits_ = 0;
-  std::uint64_t disk_loads_ = 0;
-  std::uint64_t disk_rejects_ = 0;
+  std::atomic<std::uint64_t> seed_hits_{0};
+  // The stores come after the seed tier they notify.
+  TieredStore<core::SweepTable> tables_;
+  TieredStore<SimTable> sims_;
 };
 
 }  // namespace resilience::service

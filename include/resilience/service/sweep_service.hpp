@@ -2,42 +2,26 @@
 
 // The serving front-end over the sweep engine: submit scenario batches,
 // get shared immutable tables back, and optionally stream cells as they
-// resolve. Four layers of reuse, checked in this order:
-//
-//   1. cache hit    — the table was computed before (same GridSignature),
-//                     in memory or spilled to the cache_dir disk tier;
-//                     cells replay from the cached table in table order.
-//   2. in-flight    — another submission of the same signature is being
-//      join           computed right now; this call waits for it instead
-//                     of computing a duplicate, then replays cells.
-//   3. seeded       — this call is the compute leader, and cached tables
-//      compute        share chains (same platform + cost override + family
-//                     + result-affecting options) with the new grid: the
-//                     runner reuses bit-equal points outright and
-//                     warm-starts the genuinely new ones from the nearest
-//                     cached optima (request flag `reuse_seeds`, on by
-//                     default).
-//   4. compute      — cold leader: runs the SweepRunner (streaming cells
-//                     live as chains finish them), publishes the table to
-//                     the cache, and wakes joiners.
-//
-// Whatever path serves a request, the delivered cell set and the returned
-// table are bit-identical — reuse is an optimization, never a relaxation.
+// resolve. Submissions walk the shared reuse ladder (submit_pipeline.hpp:
+// identity hit, in-flight join, compute). A leading compute also consults
+// the seed tier: when cached tables share chains (same platform + cost
+// override + family + result-affecting options) with the new grid, the
+// runner reuses bit-equal points outright and warm-starts the genuinely
+// new ones from the nearest cached optima (request flag `reuse_seeds`, on
+// by default). Whatever path serves a request, the delivered cell set and
+// the returned table are bit-identical — reuse is an optimization, never
+// a relaxation.
 
 #include <atomic>
 #include <cstdint>
-#include <future>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "resilience/core/sweep.hpp"
 #include "resilience/service/scenario_request.hpp"
+#include "resilience/service/sim_service.hpp"
+#include "resilience/service/submit_pipeline.hpp"
 #include "resilience/service/sweep_cache.hpp"
 
 namespace resilience::service {
-
-class SimService;  // sim_service.hpp; owned via pointer
 
 struct ServiceOptions {
   /// Execution options for cache misses. The pool/warm-start/seed fields
@@ -68,8 +52,8 @@ struct ServiceStats {
   std::uint64_t joined_in_flight = 0;   ///< deduped onto a concurrent leader
   std::uint64_t tables_computed = 0;    ///< misses that led a compute
   std::uint64_t seeded_computes = 0;    ///< computes that consumed seeds
-  std::uint64_t deadline_timeouts = 0;  ///< submits aborted by a deadline
-  // Cache tiers (SweepCache; lookup granularity, not submissions).
+  std::uint64_t deadline_timeouts = 0;  ///< deadline aborts, both modes
+  // Analytic cache tiers (SweepCache; lookup granularity, not submissions).
   std::uint64_t cache_lookup_hits = 0;
   std::uint64_t cache_lookup_misses = 0;
   std::uint64_t seed_hits = 0;    ///< seeds_for() calls that found seeds
@@ -87,15 +71,12 @@ struct ServiceStats {
   /// Aggregate Monte Carlo throughput over every computed cell
   /// (sim_runs / compute wall time); 0 until the first compute.
   double sim_runs_per_second = 0.0;
+  std::uint64_t sim_joined_in_flight = 0;  ///< deduped onto a leader
+  std::uint64_t sim_disk_rejects = 0;  ///< sim spill files rejected
 };
 
 /// Outcome of one submission.
-struct SubmitResult {
-  std::shared_ptr<const core::SweepTable> table;
-  core::GridSignature signature;
-  bool cache_hit = false;         ///< served from the table cache
-  bool disk_hit = false;          ///< the hit was lazily reloaded from disk
-  bool joined_in_flight = false;  ///< deduped onto a concurrent submission
+struct SubmitResult : SubmitOutcome<core::SweepTable> {
   /// The compute consumed at least one cross-grid seed (diagnostics only:
   /// the table is bit-identical with or without seeds).
   bool seeded = false;
@@ -104,7 +85,6 @@ struct SubmitResult {
 class SweepService {
  public:
   explicit SweepService(ServiceOptions options = {});
-  ~SweepService();
 
   /// Serves a parsed request; request.numeric_optimum overrides the
   /// service-level sweep option (and participates in the signature). When
@@ -137,25 +117,22 @@ class SweepService {
   [[nodiscard]] const ServiceOptions& options() const noexcept {
     return options_;
   }
-  [[nodiscard]] SweepCache& cache() noexcept { return cache_; }
   [[nodiscard]] const SweepCache& cache() const noexcept { return cache_; }
   /// The simulate-mode companion: shares this service's cache and
   /// executor pool, serves "mode": "simulate" requests (see
   /// sim_service.hpp). Its counters fold into stats() as the sim block.
-  [[nodiscard]] SimService& sim() noexcept { return *sim_; }
-  [[nodiscard]] const SimService& sim() const noexcept { return *sim_; }
+  [[nodiscard]] SimService& sim() noexcept { return sim_; }
+  [[nodiscard]] const SimService& sim() const noexcept { return sim_; }
   /// Number of tables actually computed (cache misses that led compute);
   /// lets tests assert that concurrent identical submissions deduped.
   [[nodiscard]] std::uint64_t tables_computed() const noexcept {
-    return tables_computed_.load(std::memory_order_relaxed);
+    return pipeline_.computed();
   }
 
   /// Snapshot of every service/cache counter (see ServiceStats).
   [[nodiscard]] ServiceStats stats() const;
 
  private:
-  using TablePtr = std::shared_ptr<const core::SweepTable>;
-
   SubmitResult submit_impl(const core::ScenarioGrid& grid,
                            const core::SweepOptions& sweep,
                            core::CellSink* sink, bool reuse_seeds,
@@ -163,17 +140,10 @@ class SweepService {
 
   ServiceOptions options_;
   SweepCache cache_;
-  std::unique_ptr<SimService> sim_;  // after cache_: shares it, so it must
-                                     // be destroyed first
-  std::mutex in_flight_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_future<TablePtr>> in_flight_;
-  std::atomic<std::uint64_t> tables_computed_{0};
+  SimService sim_;  // after cache_: shares it, so it must be destroyed first
+  SubmitPipeline<core::SweepTable> pipeline_;
   std::atomic<std::uint64_t> submits_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> disk_hits_{0};
-  std::atomic<std::uint64_t> joins_{0};
   std::atomic<std::uint64_t> seeded_computes_{0};
-  std::atomic<std::uint64_t> deadline_timeouts_{0};
 };
 
 }  // namespace resilience::service

@@ -984,22 +984,18 @@ void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
     for (const service::SimCell& cell : sim_table.cells) {
       emit(service::sim_cell_line(request.id, signature, cell), false);
     }
-    emit(request.include_stats
-             ? service::sim_done_line(request.id, signature, sim_table,
-                                      all_cache_hit, stats_block)
-             : service::sim_done_line(request.id, signature, sim_table,
-                                      all_cache_hit),
+    emit(service::sim_done_line(request.id, signature, sim_table,
+                                all_cache_hit,
+                                request.include_stats ? &stats_block : nullptr),
          true);
     return;
   }
   for (const core::SweepCell& cell : table.cells) {
     emit(service::cell_line(request.id, signature, cell), false);
   }
-  emit(request.include_stats
-           ? service::done_line(request.id, signature, table, all_cache_hit,
-                                all_joined, stats_block)
-           : service::done_line(request.id, signature, table, all_cache_hit,
-                                all_joined, nullptr),
+  emit(service::done_line(request.id, signature, table, all_cache_hit,
+                          all_joined,
+                          request.include_stats ? &stats_block : nullptr),
        true);
 }
 

@@ -19,8 +19,8 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
     // only make cells cheaper.
     estimate.cells = grid.cell_count() * request.sim.weibull_shape.size() *
                      request.sim.faulty_ops.size();
-    if (service != nullptr &&
-        service->cache().contains_sim(service->sim().signature_for(request))) {
+    if (service != nullptr && service->cache().sims().contains(
+                                  service->sim().signature_for(request))) {
       estimate.identity_hit = true;
       estimate.units = static_cast<double>(estimate.cells) * kCostReplayCell;
       return estimate;
@@ -45,7 +45,7 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
 
   // Identity tier first: an exact-signature hit replays the finished
   // table — cost is per-cell serialization, not search.
-  if (service->cache().contains(service->signature_for(request))) {
+  if (service->cache().tables().contains(service->signature_for(request))) {
     estimate.identity_hit = true;
     estimate.units = static_cast<double>(estimate.cells) * kCostReplayCell;
     return estimate;

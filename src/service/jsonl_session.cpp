@@ -190,12 +190,12 @@ void JsonlSession::handle_line(std::string_view line) {
       }
       const SimSubmitResult result =
           service_.sim().submit(request, sink, cancel);
-      const ServiceStats stats =
-          request.include_stats ? service_.stats() : ServiceStats{};
+      const util::JsonValue stats = request.include_stats
+                                        ? stats_block(service_.stats(), cost)
+                                        : util::JsonValue{};
       emit(sim_done_line(request.id, result.signature, *result.table,
                          result.cache_hit,
-                         request.include_stats ? &stats : nullptr,
-                         request.include_stats ? &cost : nullptr),
+                         request.include_stats ? &stats : nullptr),
            true);
       return;
     }
@@ -214,12 +214,12 @@ void JsonlSession::handle_line(std::string_view line) {
     const bool need_sink = options_.stream || options_.collect;
     const SubmitResult result =
         service_.submit(request, need_sink ? &sink : nullptr, cancel);
-    const ServiceStats stats =
-        request.include_stats ? service_.stats() : ServiceStats{};
+    const util::JsonValue stats = request.include_stats
+                                      ? stats_block(service_.stats(), cost)
+                                      : util::JsonValue{};
     emit(done_line(request.id, result.signature, *result.table,
                    result.cache_hit, result.joined_in_flight,
-                   request.include_stats ? &stats : nullptr,
-                   request.include_stats ? &cost : nullptr),
+                   request.include_stats ? &stats : nullptr),
          true);
     if (outcome_) {
       outcome_(Outcome{std::move(request), result, std::move(sink.cells())});

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
+#include <vector>
 
 #include "resilience/service/cost_model.hpp"
 #include "resilience/service/sim_table.hpp"
@@ -34,6 +35,34 @@ std::size_t require_index(const JsonValue& json, const char* field) {
                              "' is not a non-negative integer");
   }
   return static_cast<std::size_t>(value);
+}
+
+/// Family names in table order: the "kinds" array of tables and done
+/// lines.
+JsonValue kinds_json(const std::vector<core::PatternKind>& kinds) {
+  JsonValue out = JsonValue::array();
+  for (const core::PatternKind kind : kinds) {
+    out.push_back(core::pattern_name(kind));
+  }
+  return out;
+}
+
+std::vector<core::PatternKind> kinds_from_json(const JsonValue& json) {
+  std::vector<core::PatternKind> kinds;
+  for (const JsonValue& kind : json.as_array()) {
+    kinds.push_back(core::pattern_kind_from_name(kind.as_string()));
+  }
+  return kinds;
+}
+
+/// to_json of every element, as an array (points and cells of tables).
+template <class Items>
+JsonValue array_json(const Items& items) {
+  JsonValue out = JsonValue::array();
+  for (const auto& item : items) {
+    out.push_back(to_json(item));
+  }
+  return out;
 }
 
 }  // namespace
@@ -171,31 +200,17 @@ core::ScenarioPoint point_from_json(const JsonValue& json) {
 }
 
 JsonValue to_json(const core::SweepTable& table) {
-  JsonValue kinds = JsonValue::array();
-  for (const core::PatternKind kind : table.kinds) {
-    kinds.push_back(core::pattern_name(kind));
-  }
-  JsonValue points = JsonValue::array();
-  for (const core::ScenarioPoint& point : table.points) {
-    points.push_back(to_json(point));
-  }
-  JsonValue cells = JsonValue::array();
-  for (const core::SweepCell& cell : table.cells) {
-    cells.push_back(to_json(cell));
-  }
   JsonValue out = JsonValue::object();
   out.set("type", "sweep_table");
-  out.set("kinds", std::move(kinds));
-  out.set("points", std::move(points));
-  out.set("cells", std::move(cells));
+  out.set("kinds", kinds_json(table.kinds));
+  out.set("points", array_json(table.points));
+  out.set("cells", array_json(table.cells));
   return out;
 }
 
 core::SweepTable table_from_json(const JsonValue& json) {
   core::SweepTable table;
-  for (const JsonValue& kind : require(json, "kinds").as_array()) {
-    table.kinds.push_back(core::pattern_kind_from_name(kind.as_string()));
-  }
+  table.kinds = kinds_from_json(require(json, "kinds"));
   for (const JsonValue& point : require(json, "points").as_array()) {
     table.points.push_back(point_from_json(point));
   }
@@ -268,14 +283,6 @@ SimCell sim_cell_from_json(const JsonValue& json) {
 }
 
 JsonValue to_json(const SimTable& table) {
-  JsonValue kinds = JsonValue::array();
-  for (const core::PatternKind kind : table.kinds) {
-    kinds.push_back(core::pattern_name(kind));
-  }
-  JsonValue points = JsonValue::array();
-  for (const core::ScenarioPoint& point : table.points) {
-    points.push_back(to_json(point));
-  }
   JsonValue shapes = JsonValue::array();
   for (const double shape : table.params.weibull_shape) {
     shapes.push_back(shape);
@@ -292,24 +299,18 @@ JsonValue to_json(const SimTable& table) {
   sim.set("patterns_per_run", table.params.patterns_per_run);
   sim.set("weibull_shape", std::move(shapes));
   sim.set("faulty_ops", std::move(ops));
-  JsonValue cells = JsonValue::array();
-  for (const SimCell& cell : table.cells) {
-    cells.push_back(to_json(cell));
-  }
   JsonValue out = JsonValue::object();
   out.set("type", "sim_table");
-  out.set("kinds", std::move(kinds));
-  out.set("points", std::move(points));
+  out.set("kinds", kinds_json(table.kinds));
+  out.set("points", array_json(table.points));
   out.set("sim", std::move(sim));
-  out.set("cells", std::move(cells));
+  out.set("cells", array_json(table.cells));
   return out;
 }
 
 SimTable sim_table_from_json(const JsonValue& json) {
   SimTable table;
-  for (const JsonValue& kind : require(json, "kinds").as_array()) {
-    table.kinds.push_back(core::pattern_kind_from_name(kind.as_string()));
-  }
+  table.kinds = kinds_from_json(require(json, "kinds"));
   for (const JsonValue& point : require(json, "points").as_array()) {
     table.points.push_back(point_from_json(point));
   }
@@ -389,6 +390,8 @@ JsonValue to_json(const ServiceStats& stats) {
   sim.set("runs", stats.sim_runs);
   sim.set("early_stops", stats.sim_early_stops);
   sim.set("runs_per_second", stats.sim_runs_per_second);
+  sim.set("joined_in_flight", stats.sim_joined_in_flight);
+  sim.set("disk_rejects", stats.sim_disk_rejects);
   JsonValue out = JsonValue::object();
   out.set("service", std::move(service));
   out.set("cache", std::move(cache));
@@ -421,55 +424,30 @@ std::string stats_line(const std::string& request_id, const ServiceStats& stats,
   return line.dump();
 }
 
-std::string done_line(const std::string& request_id,
-                      core::GridSignature signature,
-                      const core::SweepTable& table, bool cache_hit,
-                      bool joined_in_flight, const ServiceStats* stats,
-                      const CostEstimate* cost) {
-  JsonValue kinds = JsonValue::array();
-  for (const core::PatternKind kind : table.kinds) {
-    kinds.push_back(core::pattern_name(kind));
-  }
-  JsonValue line = JsonValue::object();
-  line.set("type", "done");
-  line.set("request", request_id);
-  line.set("signature", signature.hex());
-  line.set("points", table.points.size());
-  line.set("kinds", std::move(kinds));
-  line.set("cells", table.cells.size());
-  line.set("cache_hit", cache_hit);
-  line.set("joined_in_flight", joined_in_flight);
-  if (stats != nullptr) {
-    JsonValue stats_json = to_json(*stats);
-    if (cost != nullptr) {
-      // Appended AFTER the service/cache blocks: existing consumers match
-      // the stats prefix textually, and insertion order is emission order.
-      stats_json.set("cost", to_json(*cost));
-    }
-    line.set("stats", std::move(stats_json));
-  }
-  return line.dump();
+JsonValue stats_block(const ServiceStats& stats, const CostEstimate& cost) {
+  JsonValue block = to_json(stats);
+  // Appended AFTER the service/cache blocks: existing consumers match the
+  // stats prefix textually, and insertion order is emission order.
+  block.set("cost", to_json(cost));
+  return block;
 }
 
 std::string done_line(const std::string& request_id,
                       core::GridSignature signature,
                       const core::SweepTable& table, bool cache_hit,
-                      bool joined_in_flight,
-                      const util::JsonValue& stats_block) {
-  JsonValue kinds = JsonValue::array();
-  for (const core::PatternKind kind : table.kinds) {
-    kinds.push_back(core::pattern_name(kind));
-  }
+                      bool joined_in_flight, const util::JsonValue* stats) {
   JsonValue line = JsonValue::object();
   line.set("type", "done");
   line.set("request", request_id);
   line.set("signature", signature.hex());
   line.set("points", table.points.size());
-  line.set("kinds", std::move(kinds));
+  line.set("kinds", kinds_json(table.kinds));
   line.set("cells", table.cells.size());
   line.set("cache_hit", cache_hit);
   line.set("joined_in_flight", joined_in_flight);
-  line.set("stats", stats_block);
+  if (stats != nullptr) {
+    line.set("stats", *stats);
+  }
   return line.dump();
 }
 
@@ -486,15 +464,9 @@ std::string sim_cell_line(const std::string& request_id,
   return line.dump();
 }
 
-namespace {
-
-JsonValue sim_done_json(const std::string& request_id,
-                        core::GridSignature signature, const SimTable& table,
-                        bool cache_hit) {
-  JsonValue kinds = JsonValue::array();
-  for (const core::PatternKind kind : table.kinds) {
-    kinds.push_back(core::pattern_name(kind));
-  }
+std::string sim_done_line(const std::string& request_id,
+                          core::GridSignature signature, const SimTable& table,
+                          bool cache_hit, const util::JsonValue* stats) {
   std::uint64_t total_runs = 0;
   for (const SimCell& cell : table.cells) {
     total_runs += cell.runs;
@@ -505,35 +477,13 @@ JsonValue sim_done_json(const std::string& request_id,
   line.set("signature", signature.hex());
   line.set("mode", "simulate");
   line.set("points", table.points.size());
-  line.set("kinds", std::move(kinds));
+  line.set("kinds", kinds_json(table.kinds));
   line.set("cells", table.cells.size());
   line.set("runs", total_runs);
   line.set("cache_hit", cache_hit);
-  return line;
-}
-
-}  // namespace
-
-std::string sim_done_line(const std::string& request_id,
-                          core::GridSignature signature, const SimTable& table,
-                          bool cache_hit, const ServiceStats* stats,
-                          const CostEstimate* cost) {
-  JsonValue line = sim_done_json(request_id, signature, table, cache_hit);
   if (stats != nullptr) {
-    JsonValue stats_json = to_json(*stats);
-    if (cost != nullptr) {
-      stats_json.set("cost", to_json(*cost));
-    }
-    line.set("stats", std::move(stats_json));
+    line.set("stats", *stats);
   }
-  return line.dump();
-}
-
-std::string sim_done_line(const std::string& request_id,
-                          core::GridSignature signature, const SimTable& table,
-                          bool cache_hit, const util::JsonValue& stats_block) {
-  JsonValue line = sim_done_json(request_id, signature, table, cache_hit);
-  line.set("stats", stats_block);
   return line.dump();
 }
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "resilience/core/first_order.hpp"
+#include "resilience/service/sweep_service.hpp"
 #include "resilience/sim/adaptive.hpp"
 #include "resilience/sim/renewal.hpp"
 
@@ -76,34 +77,9 @@ sim::ErrorModelFactory make_model_factory(const core::ErrorRates& rates,
   };
 }
 
-void throw_if_cancelled(const core::CancelToken& cancel) {
-  if (cancel.cancelled()) {
-    throw core::SweepCancelled(cancel.deadline_expired());
-  }
-}
-
-/// Collision guard, mirroring the sweep path's table_matches_grid: the
-/// signature hash is not cryptographic, so a cached table is served only
-/// when its content bit-matches the request's resolved content.
-bool table_matches_request(const SimTable& table,
-                           const std::vector<core::ScenarioPoint>& points,
-                           const std::vector<core::PatternKind>& kinds,
-                           const SimParams& params) {
-  if (table.kinds != kinds || table.points.size() != points.size() ||
-      !(table.params == params)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!core::points_bit_identical(table.points[i], points[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
-SimService::SimService(SweepCache* cache, util::ThreadPool* pool)
+SimService::SimService(SweepCache& cache, util::ThreadPool* pool)
     : cache_(cache), pool_(pool) {}
 
 core::GridSignature SimService::signature_for(
@@ -121,6 +97,19 @@ double SimService::runs_per_second() const noexcept {
          (static_cast<double>(micros) * 1e-6);
 }
 
+void SimService::add_to(ServiceStats& stats) const {
+  stats.deadline_timeouts += pipeline_.deadline_timeouts();
+  stats.sim_submits = submits();
+  stats.sim_cache_hits = pipeline_.cache_hits();
+  stats.sim_disk_hits = pipeline_.disk_hits();
+  stats.sim_cells = cells_computed();
+  stats.sim_runs = runs_executed();
+  stats.sim_early_stops = early_stops_.load(std::memory_order_relaxed);
+  stats.sim_runs_per_second = runs_per_second();
+  stats.sim_joined_in_flight = pipeline_.joins();
+  stats.sim_disk_rejects = cache_.sims().counters().disk_rejects;
+}
+
 SimSubmitResult SimService::submit(const ScenarioRequest& request,
                                    const SimCellFn& sink,
                                    core::CancelToken cancel) {
@@ -133,49 +122,41 @@ SimSubmitResult SimService::submit(const ScenarioRequest& request,
   const std::vector<core::ScenarioPoint> points =
       core::resolve_points(request.grid);
   const std::vector<core::PatternKind> kinds = request.grid.resolved_kinds();
+  const core::GridSignature signature =
+      sim_signature(points, kinds, request.sim);
 
-  SimSubmitResult out;
-  out.signature = sim_signature(points, kinds, request.sim);
-
-  if (cache_ != nullptr) {
-    bool from_disk = false;
-    std::shared_ptr<const SimTable> cached =
-        cache_->find_sim(out.signature, &from_disk);
-    if (cached != nullptr &&
-        table_matches_request(*cached, points, kinds, request.sim)) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (from_disk) {
-        disk_hits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      // Replay in table order — the canonical wire order — polling the
-      // token at cell granularity like the compute path does.
-      for (const SimCell& cell : cached->cells) {
-        throw_if_cancelled(cancel);
-        if (sink) {
-          sink(cell);
-        }
-      }
-      out.table = std::move(cached);
-      out.cache_hit = true;
-      out.disk_hit = from_disk;
-      return out;
-    }
-  }
-
-  out.table = compute(request, sink, cancel);
-  if (cache_ != nullptr) {
-    cache_->insert_sim(out.signature, out.table);
-  }
-  return out;
+  return pipeline_.submit(
+      signature, cancel,
+      SubmitSteps{
+          .find = [&](bool* disk_hit) {
+            return cache_.sims().find(signature, {}, disk_hit);
+          },
+          .matches = [&](const SimTable& table) {
+            return table.params == request.sim &&
+                   same_grid(table, points, kinds);
+          },
+          .replay = [&](const SimTable& table) {
+            if (sink) {
+              replay_cells(table, cancel, sink);
+            }
+          },
+          .compute = [&](bool) {
+            return compute(points, kinds, request.sim, sink, cancel);
+          },
+          .publish = [&](const std::shared_ptr<const SimTable>& table) {
+            cache_.sims().insert(signature, table);
+          },
+      });
 }
 
 std::shared_ptr<const SimTable> SimService::compute(
-    const ScenarioRequest& request, const SimCellFn& sink,
-    const core::CancelToken& cancel) {
+    const std::vector<core::ScenarioPoint>& points,
+    const std::vector<core::PatternKind>& kinds, const SimParams& sim_params,
+    const SimCellFn& sink, const core::CancelToken& cancel) {
   auto table = std::make_shared<SimTable>();
-  table->points = core::resolve_points(request.grid);
-  table->kinds = request.grid.resolved_kinds();
-  table->params = request.sim;
+  table->points = points;
+  table->kinds = kinds;
+  table->params = sim_params;
   table->cells.reserve(table->cell_count());
 
   const auto check_cancel = [&cancel] { throw_if_cancelled(cancel); };

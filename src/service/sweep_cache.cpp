@@ -1,15 +1,13 @@
 #include "resilience/service/sweep_cache.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "resilience/service/serialize.hpp"
-#include "resilience/service/sim_table.hpp"
 #include "resilience/util/atomic_file.hpp"
 #include "resilience/util/json.hpp"
 
@@ -17,247 +15,69 @@ namespace resilience::service {
 
 namespace {
 
-namespace fs = std::filesystem;
-
 constexpr const char* kSidecarName = "seed_index.json";
-constexpr const char* kSpillFormat = "sweep-table-spill-v1";
-constexpr const char* kSimSpillFormat = "sim-table-spill-v1";
-
-fs::path table_path(const std::string& dir, core::GridSignature signature) {
-  return fs::path(dir) / (signature.hex() + ".json");
-}
-
-fs::path sim_table_path(const std::string& dir, core::GridSignature signature) {
-  return fs::path(dir) / (signature.hex() + ".sim.json");
-}
 
 void warn(const char* what, const std::string& detail) {
   std::fprintf(stderr, "SweepCache: %s (%s)\n", what, detail.c_str());
 }
 
-/// FNV-1a 64 over the spilled payload bytes. The filename signature only
-/// covers the table's *inputs* (points, kinds, options), so without this
-/// a flipped bit inside a result field (overhead, work, n, m) would
-/// verify clean; the payload checksum closes that hole. Carried as a
-/// GridSignature purely for its hex round trip.
-core::GridSignature payload_checksum(const std::string& payload) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char byte : payload) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return core::GridSignature{hash};
-}
-
-/// The on-disk document: the canonical table JSON wrapped with a format
-/// tag and its payload checksum. Assembled textually — every component is
-/// already canonical JSON, and parse -> re-dump of the payload is
-/// byte-identical, which is what lets the loader re-derive the checksum.
-std::string spill_document(const core::SweepTable& table) {
-  const std::string payload = to_json(table).dump();
-  return std::string("{\"format\":\"") + kSpillFormat + "\",\"payload_fnv\":\"" +
-         payload_checksum(payload).hex() + "\",\"table\":" + payload + "}";
-}
-
-std::string sim_spill_document(const SimTable& table) {
-  const std::string payload = to_json(table).dump();
-  return std::string("{\"format\":\"") + kSimSpillFormat +
-         "\",\"payload_fnv\":\"" + payload_checksum(payload).hex() +
-         "\",\"table\":" + payload + "}";
-}
-
-/// Writes one spill file atomically (util::write_file_atomic: unique
-/// temp file + rename): a concurrent lazy load must never observe a
-/// truncated half-write, only the old or the new complete document — and
-/// the per-writer temp name keeps two concurrent spills of the same
-/// signature (identical content, so last rename wins harmlessly) from
-/// interleaving into one tmp file. Returns false (after a warning) on
-/// failure.
-bool write_spill_file(const fs::path& path, const std::string& document) {
-  std::string error;
-  if (!util::write_file_atomic(path.string(), document, &error)) {
-    warn("spill failed", error);
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 SweepCache::SweepCache(std::size_t capacity, std::string cache_dir)
-    : capacity_(capacity), cache_dir_(std::move(cache_dir)) {
-  if (capacity_ == 0) {
-    cache_dir_.clear();  // capacity 0 disables every tier, disk included
-  }
-  if (!cache_dir_.empty()) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    try {
-      load_disk_index_locked();
-    } catch (const std::exception& error) {
-      warn("cannot index cache directory; disk tier disabled", error.what());
-      cache_dir_.clear();
-    }
+    : tables_(capacity, cache_dir, this), sims_(capacity, cache_dir) {
+  if (!tables_.dir().empty()) {
+    load_sidecar();
   }
 }
 
 SweepCache::~SweepCache() {
   try {
-    persist_now();
+    tables_.persist_now();  // the sidecar follows through on_spilled
+    sims_.persist_now();
   } catch (...) {
     // Destructor: a failed spill only loses warmth, never correctness.
   }
 }
 
-std::shared_ptr<const core::SweepTable> SweepCache::find(
-    core::GridSignature signature) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(signature.value);
-  if (it == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);  // promote; iterator stays valid
-  return it->second->table;
-}
-
-std::shared_ptr<const core::SweepTable> SweepCache::find(
-    core::GridSignature signature, const core::SweepOptions& options,
-    bool* loaded_from_disk) {
-  if (loaded_from_disk != nullptr) {
-    *loaded_from_disk = false;
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(signature.value);
-  if (it != index_.end()) {
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->table;
-  }
-  if (std::shared_ptr<const core::SweepTable> table =
-          load_from_disk_locked(signature, options)) {
-    ++hits_;
-    if (loaded_from_disk != nullptr) {
-      *loaded_from_disk = true;
-    }
-    return table;
-  }
-  ++misses_;
-  return nullptr;
-}
-
-void SweepCache::insert(core::GridSignature signature,
-                        std::shared_ptr<const core::SweepTable> table) {
-  insert(signature, std::move(table), {});
-}
-
-void SweepCache::insert(core::GridSignature signature,
-                        std::shared_ptr<const core::SweepTable> table,
+void SweepCache::insert(core::GridSignature signature, TablePtr table,
                         std::vector<core::GridChain> chains) {
-  if (capacity_ == 0) {
+  if (tables_.capacity() == 0) {
     return;
   }
-  std::vector<Entry> victims;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = index_.find(signature.value);
-    if (it != index_.end()) {
-      unindex_chains_locked(signature, it->second->chains);
-      it->second->table = std::move(table);
-      it->second->chains = std::move(chains);
-      index_chains_locked(signature, it->second->chains);
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return;
-    }
-    lru_.push_front(Entry{signature, std::move(table), std::move(chains)});
-    index_[signature.value] = lru_.begin();
-    index_chains_locked(signature, lru_.front().chains);
-    bool sidecar_dirty = false;
-    while (lru_.size() > capacity_) {
-      Entry& victim = lru_.back();
-      index_.erase(victim.signature.value);
-      if (cache_dir_.empty()) {
-        // No disk tier: the optima are gone, stop advertising them.
-        unindex_chains_locked(victim.signature, victim.chains);
-      } else if (disk_index_.count(victim.signature.value) != 0) {
-        // Already spilled — the file content is a pure function of the
-        // signature, so rewriting it would only waste IO and race
-        // concurrent loads with a truncated file. Just make sure the
-        // chains stay reachable for the seed tier.
-        if (!victim.chains.empty() &&
-            disk_chains_.find(victim.signature.value) == disk_chains_.end()) {
-          disk_chains_[victim.signature.value] = std::move(victim.chains);
-          sidecar_dirty = true;
-        }
-      } else {
-        victims.push_back(std::move(victim));  // spilled below, unlocked
-      }
-      lru_.pop_back();
-    }
-    if (sidecar_dirty) {
-      write_sidecar_locked();
-    }
+    // Indexed first: a seed lookup racing ahead of the insert finds no
+    // table under the signature yet and simply skips it.
+    const std::lock_guard<std::mutex> lock(seed_mutex_);
+    std::vector<core::GridChain>& entry = chains_[signature.value];
+    unindex_chains_locked(signature, entry);
+    entry = std::move(chains);
+    index_chains_locked(signature, entry);
   }
-  spill_evicted(std::move(victims));
-}
-
-void SweepCache::spill_evicted(std::vector<Entry> victims) {
-  if (victims.empty()) {
-    return;
-  }
-  // Expensive part without the lock: canonical serialization + file IO.
-  std::vector<bool> spilled(victims.size());
-  for (std::size_t i = 0; i < victims.size(); ++i) {
-    spilled[i] = write_spill_file(table_path(cache_dir_, victims[i].signature),
-                                  spill_document(*victims[i].table));
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  bool any = false;
-  for (std::size_t i = 0; i < victims.size(); ++i) {
-    const Entry& victim = victims[i];
-    if (spilled[i]) {
-      disk_index_.insert(victim.signature.value);
-      if (!victim.chains.empty()) {
-        disk_chains_[victim.signature.value] = victim.chains;
-      }
-      any = true;
-    } else if (index_.find(victim.signature.value) == index_.end()) {
-      // Spill failed and nobody re-inserted the signature meanwhile: the
-      // optima are unreachable, so the seed index must drop them.
-      unindex_chains_locked(victim.signature, victim.chains);
-    }
-  }
-  if (any) {
-    write_sidecar_locked();
-  }
+  tables_.insert(signature, std::move(table));
 }
 
 std::vector<core::ChainSeed> SweepCache::seeds_for(
     core::ChainKey key, const core::SweepOptions& options) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = seed_index_.find(key.value);
-  if (it == seed_index_.end()) {
-    return {};
-  }
-  // Copy: lazy disk promotion below may grow/shuffle the index vectors.
-  const std::vector<std::uint64_t> signatures = it->second;
-  std::vector<core::ChainSeed> seeds;
-  for (const std::uint64_t signature_value : signatures) {
-    const core::GridSignature signature{signature_value};
-    std::shared_ptr<const core::SweepTable> table;
-    std::vector<core::GridChain> chains;
-    const auto entry_it = index_.find(signature_value);
-    if (entry_it != index_.end()) {
-      table = entry_it->second->table;
-      chains = entry_it->second->chains;
-      lru_.splice(lru_.begin(), lru_, entry_it->second);
-    } else {
-      table = load_from_disk_locked(signature, options);
-      const auto chains_it = disk_chains_.find(signature_value);
-      if (chains_it != disk_chains_.end()) {
-        chains = chains_it->second;
-      }
+  // Snapshot the owners' chains, then read their tables with the
+  // seed lock released: a disk promotion may evict, which re-enters the
+  // seed tier through on_dropped/on_spilled.
+  std::vector<std::pair<core::GridSignature, std::vector<core::GridChain>>>
+      owners;
+  {
+    const std::lock_guard<std::mutex> lock(seed_mutex_);
+    const auto it = seed_index_.find(key.value);
+    if (it == seed_index_.end()) {
+      return {};
     }
+    for (const std::uint64_t signature_value : it->second) {
+      owners.emplace_back(core::GridSignature{signature_value},
+                          chains_.at(signature_value));
+    }
+  }
+
+  std::vector<core::ChainSeed> seeds;
+  for (const auto& [signature, chains] : owners) {
+    const TablePtr table = tables_.fetch(signature, options);
     if (table == nullptr) {
       continue;
     }
@@ -282,89 +102,29 @@ std::vector<core::ChainSeed> SweepCache::seeds_for(
     }
   }
   if (!seeds.empty()) {
-    ++seed_hits_;
+    seed_hits_.fetch_add(1, std::memory_order_relaxed);
   }
   return seeds;
 }
 
-bool SweepCache::contains(core::GridSignature signature) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return index_.find(signature.value) != index_.end() ||
-         disk_index_.count(signature.value) != 0;
-}
-
 bool SweepCache::has_seeds(core::ChainKey key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(seed_mutex_);
   return seed_index_.find(key.value) != seed_index_.end();
 }
 
-void SweepCache::persist_now() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (cache_dir_.empty()) {
-    return;
-  }
-  for (const Entry& entry : lru_) {
-    if (disk_index_.count(entry.signature.value) != 0) {
-      // Already spilled with identical content (pure function of the
-      // signature); just keep its chains reachable for the seed tier.
-      if (!entry.chains.empty() &&
-          disk_chains_.find(entry.signature.value) == disk_chains_.end()) {
-        disk_chains_[entry.signature.value] = entry.chains;
-      }
-      continue;
-    }
-    spill_locked(entry);
-  }
+void SweepCache::on_spilled() {
+  const std::lock_guard<std::mutex> lock(seed_mutex_);
   write_sidecar_locked();
-  for (const SimEntry& entry : sim_lru_) {
-    if (sim_disk_index_.count(entry.signature.value) != 0) {
-      continue;  // already spilled; content is a pure function of the key
-    }
-    spill_sim_locked(entry);
+}
+
+void SweepCache::on_dropped(core::GridSignature signature) {
+  // The optima are unreachable: stop advertising them.
+  const std::lock_guard<std::mutex> lock(seed_mutex_);
+  const auto it = chains_.find(signature.value);
+  if (it != chains_.end()) {
+    unindex_chains_locked(signature, it->second);
+    chains_.erase(it);
   }
-}
-
-void SweepCache::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  sim_lru_.clear();
-  sim_index_.clear();
-  // The seed index keeps only what the disk tier still backs.
-  seed_index_.clear();
-  for (const auto& [signature_value, chains] : disk_chains_) {
-    index_chains_locked(core::GridSignature{signature_value}, chains);
-  }
-}
-
-std::size_t SweepCache::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
-}
-
-std::uint64_t SweepCache::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t SweepCache::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::uint64_t SweepCache::seed_hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return seed_hits_;
-}
-
-std::uint64_t SweepCache::disk_loads() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return disk_loads_;
-}
-
-std::uint64_t SweepCache::disk_rejects() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return disk_rejects_;
 }
 
 void SweepCache::index_chains_locked(
@@ -394,55 +154,11 @@ void SweepCache::unindex_chains_locked(
   }
 }
 
-void SweepCache::evict_one_locked() {
-  // Locked spill path: only reached from lazy disk promotion (rare —
-  // once per reloaded entry); bulk evictions go through spill_evicted.
-  // Promotion victims are usually disk-resident already (the common churn
-  // is reload A -> evict B where B was itself reloaded), so the
-  // already-on-disk check below makes re-eviction a pure in-memory pop.
-  Entry& victim = lru_.back();
-  bool spilled = false;
-  if (!cache_dir_.empty()) {
-    if (disk_index_.count(victim.signature.value) != 0) {
-      spilled = true;  // content is a pure function of the signature
-      if (!victim.chains.empty() &&
-          disk_chains_.find(victim.signature.value) == disk_chains_.end()) {
-        disk_chains_[victim.signature.value] = std::move(victim.chains);
-        write_sidecar_locked();
-      }
-    } else {
-      spill_locked(victim);
-      spilled = disk_index_.count(victim.signature.value) != 0;
-      if (spilled) {
-        write_sidecar_locked();
-      }
-    }
-  }
-  if (!spilled) {
-    // No disk tier (or the spill failed): the optima are gone, so the
-    // seed index must stop advertising them.
-    unindex_chains_locked(victim.signature, victim.chains);
-  }
-  index_.erase(victim.signature.value);
-  lru_.pop_back();
-}
-
-void SweepCache::spill_locked(const Entry& entry) {
-  if (!write_spill_file(table_path(cache_dir_, entry.signature),
-                        spill_document(*entry.table))) {
-    return;
-  }
-  disk_index_.insert(entry.signature.value);
-  if (!entry.chains.empty()) {
-    disk_chains_[entry.signature.value] = entry.chains;
-  }
-}
-
 void SweepCache::write_sidecar_locked() {
-  // Deterministic sidecar: entries sorted by signature hex.
+  // Deterministic: entries sorted by signature. Tables still only in
+  // memory are listed too; a restart skips entries without a spill file.
   std::vector<std::uint64_t> signatures;
-  signatures.reserve(disk_chains_.size());
-  for (const auto& [signature_value, chains] : disk_chains_) {
+  for (const auto& [signature_value, chains] : chains_) {
     signatures.push_back(signature_value);
   }
   std::sort(signatures.begin(), signatures.end());
@@ -450,7 +166,7 @@ void SweepCache::write_sidecar_locked() {
   util::JsonValue entries = util::JsonValue::array();
   for (const std::uint64_t signature_value : signatures) {
     util::JsonValue chains = util::JsonValue::array();
-    for (const core::GridChain& chain : disk_chains_[signature_value]) {
+    for (const core::GridChain& chain : chains_[signature_value]) {
       util::JsonValue chain_json = util::JsonValue::object();
       chain_json.set("key", chain.key.hex());
       chain_json.set("platform_index", chain.platform_index);
@@ -467,41 +183,20 @@ void SweepCache::write_sidecar_locked() {
   sidecar.set("version", 1);
   sidecar.set("entries", std::move(entries));
 
-  // Atomic like the spill files themselves: a crash (or a concurrent
-  // reader) must never see a truncated sidecar — it would poison the
-  // next startup's seed index for every spilled table at once.
-  const fs::path path = fs::path(cache_dir_) / kSidecarName;
+  // Atomic like the spill files themselves: a truncated sidecar would
+  // poison the next startup's seed index for every spilled table at once.
   std::string error;
-  if (!util::write_file_atomic(path.string(), sidecar.dump(2), &error)) {
+  if (!util::write_file_atomic(sidecar_path(), sidecar.dump(2), &error)) {
     warn("seed sidecar write failed", error);
   }
 }
 
-void SweepCache::load_disk_index_locked() {
-  fs::create_directories(cache_dir_);
-  for (const fs::directory_entry& file : fs::directory_iterator(cache_dir_)) {
-    if (!file.is_regular_file() || file.path().extension() != ".json") {
-      continue;
-    }
-    const fs::path stem = file.path().stem();  // "<hex>" or "<hex>.sim"
-    if (stem.extension() == ".sim") {
-      if (const auto signature =
-              core::GridSignature::from_hex(stem.stem().string())) {
-        sim_disk_index_.insert(signature->value);
-      }
-      continue;
-    }
-    if (const auto signature = core::GridSignature::from_hex(stem.string())) {
-      disk_index_.insert(signature->value);
-    }
-  }
-
-  const fs::path sidecar_path = fs::path(cache_dir_) / kSidecarName;
-  if (!fs::exists(sidecar_path)) {
+void SweepCache::load_sidecar() {
+  if (!std::filesystem::exists(sidecar_path())) {
     return;
   }
   try {
-    std::ifstream in(sidecar_path, std::ios::binary);
+    std::ifstream in(sidecar_path(), std::ios::binary);
     std::ostringstream buffer;
     buffer << in.rdbuf();
     const util::JsonValue sidecar = util::JsonValue::parse(buffer.str());
@@ -517,34 +212,33 @@ void SweepCache::load_disk_index_locked() {
       }
       const auto signature =
           core::GridSignature::from_hex(signature_json->as_string());
-      if (!signature || disk_index_.count(signature->value) == 0) {
+      if (!signature || !tables_.contains(*signature)) {
         continue;  // sidecar entry without a spill file
       }
       std::vector<core::GridChain> chains;
       for (const util::JsonValue& chain_json : chains_json->as_array()) {
         const util::JsonValue* key = chain_json.find("key");
-        const util::JsonValue* platform_index =
-            chain_json.find("platform_index");
-        const util::JsonValue* cost_index = chain_json.find("cost_index");
+        const util::JsonValue* platform = chain_json.find("platform_index");
+        const util::JsonValue* cost = chain_json.find("cost_index");
         const util::JsonValue* kind = chain_json.find("kind");
-        if (key == nullptr || platform_index == nullptr ||
-            cost_index == nullptr || kind == nullptr) {
+        const auto chain_key = key == nullptr
+                                   ? std::nullopt
+                                   : core::ChainKey::from_hex(key->as_string());
+        if (!chain_key || platform == nullptr || cost == nullptr ||
+            kind == nullptr) {
           continue;
         }
-        const auto chain_key = core::ChainKey::from_hex(key->as_string());
-        if (!chain_key) {
-          continue;
-        }
-        core::GridChain chain;
-        chain.key = *chain_key;
-        chain.platform_index =
-            static_cast<std::size_t>(platform_index->as_double());
-        chain.cost_index = static_cast<std::size_t>(cost_index->as_double());
-        chain.kind = core::pattern_kind_from_name(kind->as_string());
-        chains.push_back(chain);
+        chains.push_back(core::GridChain{
+            static_cast<std::size_t>(platform->as_double()),
+            static_cast<std::size_t>(cost->as_double()),
+            core::pattern_kind_from_name(kind->as_string()), *chain_key});
       }
-      disk_chains_[signature->value] = std::move(chains);
-      index_chains_locked(*signature, disk_chains_[signature->value]);
+      // A signature listed twice keeps its last entry, indexed alone.
+      const std::lock_guard<std::mutex> lock(seed_mutex_);
+      std::vector<core::GridChain>& recorded = chains_[signature->value];
+      unindex_chains_locked(*signature, recorded);
+      recorded = std::move(chains);
+      index_chains_locked(*signature, recorded);
     }
   } catch (const std::exception& error) {
     // A corrupt sidecar only costs seed reuse; the identity tier still
@@ -553,247 +247,8 @@ void SweepCache::load_disk_index_locked() {
   }
 }
 
-std::shared_ptr<const core::SweepTable> SweepCache::load_from_disk_locked(
-    core::GridSignature signature, const core::SweepOptions& options) {
-  if (cache_dir_.empty() || disk_index_.count(signature.value) == 0) {
-    return nullptr;
-  }
-  const fs::path path = table_path(cache_dir_, signature);
-  const auto reject = [&](const char* why, const std::string& detail) {
-    warn(why, detail);
-    ++disk_rejects_;
-    // Stop advertising the file: serving it later would repeat the
-    // failure, and the seed index must not keep pointing at it.
-    disk_index_.erase(signature.value);
-    const auto chains_it = disk_chains_.find(signature.value);
-    if (chains_it != disk_chains_.end() &&
-        index_.find(signature.value) == index_.end()) {
-      unindex_chains_locked(signature, chains_it->second);
-      disk_chains_.erase(chains_it);
-    }
-  };
-
-  core::SweepTable loaded;
-  try {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      reject("cannot open spill file", path.string());
-      return nullptr;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const util::JsonValue document = util::JsonValue::parse(buffer.str());
-    const util::JsonValue* format = document.find("format");
-    const util::JsonValue* checksum = document.find("payload_fnv");
-    const util::JsonValue* table_json = document.find("table");
-    if (format == nullptr || format->as_string() != kSpillFormat ||
-        checksum == nullptr || table_json == nullptr) {
-      reject("rejecting spill file with unknown format", path.string());
-      return nullptr;
-    }
-    // Result-field integrity: the payload's canonical re-dump must hash
-    // back to the stored checksum (parse -> dump is byte-identical, so
-    // this validates the original payload bytes, cells included — the
-    // filename signature below only covers the table's inputs).
-    const auto stored = core::GridSignature::from_hex(checksum->as_string());
-    if (!stored || payload_checksum(table_json->dump()) != *stored) {
-      reject("rejecting spill file whose payload checksum does not match",
-             path.string());
-      return nullptr;
-    }
-    loaded = table_from_json(*table_json);
-  } catch (const std::exception& error) {
-    reject("rejecting unparseable spill file", path.string() + ": " +
-                                                   error.what());
-    return nullptr;
-  }
-
-  // The content must hash back to the filename under the caller's
-  // result-affecting options — a corrupt or foreign spill (or one written
-  // under a different configuration) is recomputed, never served.
-  const core::GridSignature recomputed =
-      core::grid_signature(loaded.points, loaded.kinds, options);
-  if (recomputed != signature) {
-    reject("rejecting spill file whose content does not match its signature",
-           path.string() + ": content hashes to " + recomputed.hex());
-    return nullptr;
-  }
-
-  ++disk_loads_;
-  auto table = std::make_shared<const core::SweepTable>(std::move(loaded));
-  if (capacity_ == 0) {
-    return table;  // caching disabled: serve without promoting
-  }
-  std::vector<core::GridChain> chains;
-  const auto chains_it = disk_chains_.find(signature.value);
-  if (chains_it != disk_chains_.end()) {
-    chains = chains_it->second;
-  }
-  lru_.push_front(Entry{signature, table, std::move(chains)});
-  index_[signature.value] = lru_.begin();
-  index_chains_locked(signature, lru_.front().chains);
-  while (lru_.size() > capacity_) {
-    evict_one_locked();
-  }
-  return table;
-}
-
-std::shared_ptr<const SimTable> SweepCache::find_sim(
-    core::GridSignature signature, bool* loaded_from_disk) {
-  if (loaded_from_disk != nullptr) {
-    *loaded_from_disk = false;
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = sim_index_.find(signature.value);
-  if (it != sim_index_.end()) {
-    ++hits_;
-    sim_lru_.splice(sim_lru_.begin(), sim_lru_, it->second);
-    return it->second->table;
-  }
-  if (std::shared_ptr<const SimTable> table =
-          load_sim_from_disk_locked(signature)) {
-    ++hits_;
-    if (loaded_from_disk != nullptr) {
-      *loaded_from_disk = true;
-    }
-    return table;
-  }
-  ++misses_;
-  return nullptr;
-}
-
-void SweepCache::insert_sim(core::GridSignature signature,
-                            std::shared_ptr<const SimTable> table) {
-  if (capacity_ == 0) {
-    return;
-  }
-  std::vector<SimEntry> victims;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = sim_index_.find(signature.value);
-    if (it != sim_index_.end()) {
-      it->second->table = std::move(table);
-      sim_lru_.splice(sim_lru_.begin(), sim_lru_, it->second);
-      return;
-    }
-    sim_lru_.push_front(SimEntry{signature, std::move(table)});
-    sim_index_[signature.value] = sim_lru_.begin();
-    while (sim_lru_.size() > capacity_) {
-      SimEntry& victim = sim_lru_.back();
-      sim_index_.erase(victim.signature.value);
-      if (!cache_dir_.empty() &&
-          sim_disk_index_.count(victim.signature.value) == 0) {
-        victims.push_back(std::move(victim));  // spilled below, unlocked
-      }
-      sim_lru_.pop_back();
-    }
-  }
-  if (victims.empty()) {
-    return;
-  }
-  // Spill without the lock, like spill_evicted: serialization + IO are
-  // the expensive part of an eviction.
-  std::vector<bool> spilled(victims.size());
-  for (std::size_t i = 0; i < victims.size(); ++i) {
-    spilled[i] =
-        write_spill_file(sim_table_path(cache_dir_, victims[i].signature),
-                         sim_spill_document(*victims[i].table));
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = 0; i < victims.size(); ++i) {
-    if (spilled[i]) {
-      sim_disk_index_.insert(victims[i].signature.value);
-    }
-  }
-}
-
-bool SweepCache::contains_sim(core::GridSignature signature) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return sim_index_.find(signature.value) != sim_index_.end() ||
-         sim_disk_index_.count(signature.value) != 0;
-}
-
-void SweepCache::spill_sim_locked(const SimEntry& entry) {
-  if (!write_spill_file(sim_table_path(cache_dir_, entry.signature),
-                        sim_spill_document(*entry.table))) {
-    return;
-  }
-  sim_disk_index_.insert(entry.signature.value);
-}
-
-std::shared_ptr<const SimTable> SweepCache::load_sim_from_disk_locked(
-    core::GridSignature signature) {
-  if (cache_dir_.empty() || sim_disk_index_.count(signature.value) == 0) {
-    return nullptr;
-  }
-  const fs::path path = sim_table_path(cache_dir_, signature);
-  const auto reject = [&](const char* why, const std::string& detail) {
-    warn(why, detail);
-    ++disk_rejects_;
-    sim_disk_index_.erase(signature.value);
-  };
-
-  SimTable loaded;
-  try {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      reject("cannot open sim spill file", path.string());
-      return nullptr;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const util::JsonValue document = util::JsonValue::parse(buffer.str());
-    const util::JsonValue* format = document.find("format");
-    const util::JsonValue* checksum = document.find("payload_fnv");
-    const util::JsonValue* table_json = document.find("table");
-    if (format == nullptr || format->as_string() != kSimSpillFormat ||
-        checksum == nullptr || table_json == nullptr) {
-      reject("rejecting sim spill file with unknown format", path.string());
-      return nullptr;
-    }
-    const auto stored = core::GridSignature::from_hex(checksum->as_string());
-    if (!stored || payload_checksum(table_json->dump()) != *stored) {
-      reject("rejecting sim spill file whose payload checksum does not match",
-             path.string());
-      return nullptr;
-    }
-    loaded = sim_table_from_json(*table_json);
-  } catch (const std::exception& error) {
-    reject("rejecting unparseable sim spill file",
-           path.string() + ": " + error.what());
-    return nullptr;
-  }
-
-  // Content must hash back to the filename: a corrupt or foreign spill is
-  // recomputed, never served. Sim signatures have no caller-provided
-  // options — the SimParams travel inside the table.
-  const core::GridSignature recomputed =
-      sim_signature(loaded.points, loaded.kinds, loaded.params);
-  if (recomputed != signature) {
-    reject("rejecting sim spill file whose content does not match its signature",
-           path.string() + ": content hashes to " + recomputed.hex());
-    return nullptr;
-  }
-
-  ++disk_loads_;
-  auto table = std::make_shared<const SimTable>(std::move(loaded));
-  if (capacity_ == 0) {
-    return table;
-  }
-  sim_lru_.push_front(SimEntry{signature, table});
-  sim_index_[signature.value] = sim_lru_.begin();
-  while (sim_lru_.size() > capacity_) {
-    // Locked re-eviction (rare: once per reloaded entry). The victim is
-    // usually disk-resident already, making this a pure in-memory pop.
-    SimEntry& victim = sim_lru_.back();
-    if (!cache_dir_.empty() &&
-        sim_disk_index_.count(victim.signature.value) == 0) {
-      spill_sim_locked(victim);
-    }
-    sim_index_.erase(victim.signature.value);
-    sim_lru_.pop_back();
-  }
-  return table;
+std::string SweepCache::sidecar_path() const {
+  return (std::filesystem::path(tables_.dir()) / kSidecarName).string();
 }
 
 }  // namespace resilience::service

@@ -207,6 +207,10 @@ rn::RouterOptions fleet_options(const std::vector<std::uint16_t>& ports) {
   for (const std::uint16_t port : ports) {
     rn::ShardConfig shard;
     shard.port = port;
+    // Fixed ring ids: the default "host:port" would tie the chain-to-shard
+    // assignment to the ephemeral ports, so a shard could own none of the
+    // workload's chains and the per-shard assertions would fail at random.
+    shard.id = "shard-" + std::to_string(options.shards.size() + 1);
     options.shards.push_back(shard);
   }
   options.connect_timeout_ms = 500;
@@ -359,6 +363,7 @@ TEST(Router, RejoinRestoresTheShardAndItsAssignment) {
   auto s2 = std::make_unique<TestDaemon>();
   const std::uint16_t s2_port = s2->port();
   rn::ShardFleet fleet{fleet_options({s1->port(), s2_port})};
+  const std::string s2_id = fleet.shard_ids().at(1);  // the ring's id
 
   fleet.probe_round();
   EXPECT_EQ(fleet.up_count(), 2u);
@@ -371,8 +376,7 @@ TEST(Router, RejoinRestoresTheShardAndItsAssignment) {
   fleet.probe_round();
   EXPECT_EQ(fleet.up_count(), 1u);
   for (std::uint64_t key = 0; key < 256; ++key) {
-    EXPECT_NE(*fleet.route(key * 0x9e3779b97f4a7c15ULL),
-              "127.0.0.1:" + std::to_string(s2_port));
+    EXPECT_NE(*fleet.route(key * 0x9e3779b97f4a7c15ULL), s2_id);
   }
 
   // Rebind the shard on its old port (SO_REUSEADDR) and probe: the ring

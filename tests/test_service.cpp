@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -19,6 +22,8 @@
 #include "resilience/service/jsonl_session.hpp"
 #include "resilience/service/scenario_request.hpp"
 #include "resilience/service/serialize.hpp"
+#include "resilience/service/sim_service.hpp"
+#include "resilience/service/submit_pipeline.hpp"
 #include "resilience/util/thread_pool.hpp"
 
 namespace rc = resilience::core;
@@ -86,6 +91,81 @@ void expect_exact_cell_set(const rc::SweepTable& table,
     EXPECT_EQ(seen[i], 1) << "cell " << i << " delivered " << seen[i]
                           << " times";
   }
+}
+
+/// One submission as the spill-verification tests see it.
+struct Served {
+  rc::GridSignature signature;
+  bool cache_hit = false;
+  bool matches_cold = false;  ///< bit-identical to a cache-less compute
+};
+
+/// A request kind whose tables spill to the disk tier: the analytic grid
+/// ('<hex>.json') or a simulate request ('<hex>.sim.json'). `other`
+/// selects a second request of the same kind with a different signature.
+struct SpillInput {
+  std::string name;
+  std::string suffix;
+  std::function<Served(rs::SweepService&, bool other)> submit;
+  /// The service computed the request exactly once.
+  std::function<bool(const rs::SweepService&)> computed_once;
+  std::function<std::uint64_t(const rs::SweepService&)> disk_rejects;
+};
+
+SpillInput analytic_spill_input() {
+  const auto grid_for = [](bool other) {
+    rc::ScenarioGrid grid = small_grid();
+    if (other) {
+      grid.node_counts = {1024};
+    }
+    return grid;
+  };
+  return {"analytic", ".json",
+          [grid_for](rs::SweepService& service, bool other) {
+            const rc::ScenarioGrid grid = grid_for(other);
+            const rs::SubmitResult result = service.submit(grid);
+            return Served{result.signature, result.cache_hit,
+                          rc::tables_bit_identical(
+                              *result.table, rc::SweepRunner().run(grid))};
+          },
+          [](const rs::SweepService& service) {
+            return service.tables_computed() == 1;
+          },
+          [](const rs::SweepService& service) {
+            return service.cache().tables().counters().disk_rejects;
+          }};
+}
+
+SpillInput simulate_spill_input() {
+  // One hera point x one family at a small run budget: one cell.
+  const auto request_for = [](bool other) {
+    rs::ScenarioRequest request;
+    request.id = "sim";
+    request.grid.platforms = {rc::hera()};
+    request.grid.node_counts = {other ? 1024u : 512u};
+    request.grid.kinds = {rc::PatternKind::kD};
+    request.simulate = true;
+    request.sim.min_runs = 16;
+    request.sim.max_runs = 32;
+    request.sim.patterns_per_run = 20;
+    return request;
+  };
+  return {"simulate", ".sim.json",
+          [request_for](rs::SweepService& service, bool other) {
+            const rs::ScenarioRequest request = request_for(other);
+            const rs::SimSubmitResult result = service.sim().submit(request);
+            rs::SweepService cold;
+            const rs::SimSubmitResult fresh = cold.sim().submit(request);
+            return Served{result.signature, result.cache_hit,
+                          rs::sim_tables_bit_identical(*result.table,
+                                                       *fresh.table)};
+          },
+          [](const rs::SweepService& service) {
+            return service.sim().cells_computed() == 1;
+          },
+          [](const rs::SweepService& service) {
+            return service.stats().sim_disk_rejects;
+          }};
 }
 
 }  // namespace
@@ -292,15 +372,16 @@ TEST(SweepCache, HitIsBitIdenticalToRecomputeAcrossPoolSizes) {
 
 TEST(SweepCache, EvictsLeastRecentlyUsed) {
   rs::SweepCache cache(2);
+  const rc::SweepOptions options;
   const auto table = std::make_shared<const rc::SweepTable>();
-  cache.insert(rc::GridSignature{1}, table);
-  cache.insert(rc::GridSignature{2}, table);
-  EXPECT_NE(cache.find(rc::GridSignature{1}), nullptr);  // 1 now most recent
-  cache.insert(rc::GridSignature{3}, table);             // evicts 2
-  EXPECT_EQ(cache.find(rc::GridSignature{2}), nullptr);
-  EXPECT_NE(cache.find(rc::GridSignature{1}), nullptr);
-  EXPECT_NE(cache.find(rc::GridSignature{3}), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
+  cache.insert(rc::GridSignature{1}, table, {});
+  cache.insert(rc::GridSignature{2}, table, {});
+  EXPECT_NE(cache.find(rc::GridSignature{1}, options), nullptr);  // now MRU
+  cache.insert(rc::GridSignature{3}, table, {});  // evicts 2
+  EXPECT_EQ(cache.find(rc::GridSignature{2}, options), nullptr);
+  EXPECT_NE(cache.find(rc::GridSignature{1}, options), nullptr);
+  EXPECT_NE(cache.find(rc::GridSignature{3}, options), nullptr);
+  EXPECT_EQ(cache.tables().counters().size, 2u);
 }
 
 TEST(SweepCache, ZeroCapacityDisablesCaching) {
@@ -456,16 +537,65 @@ TEST(Persistence, SeedIndexAloneSeedsAcrossRestart) {
   const rs::SubmitResult seeded = service.submit(extended);
   EXPECT_FALSE(seeded.cache_hit);
   EXPECT_TRUE(seeded.seeded);
-  EXPECT_GE(service.cache().disk_loads(), 1u);
+  EXPECT_GE(service.cache().tables().counters().disk_loads, 1u);
   EXPECT_TRUE(rc::tables_bit_identical(*seeded.table,
                                        rc::SweepRunner().run(extended)));
 }
 
+TEST(Persistence, SidecarListingASignatureTwiceIndexesTheLastEntryOnly) {
+  // A sidecar may list one signature twice (hand-edited or corrupt); the
+  // last entry's chains win and the first entry's keys leave no trace.
+  ScratchDir dir("sidecar_duplicate");
+  const auto base = small_grid();
+  {
+    rs::ServiceOptions options;
+    options.cache_dir = dir.str();
+    rs::SweepService service(options);
+    (void)service.submit(base);
+  }
+  const std::filesystem::path sidecar_path = dir.path() / "seed_index.json";
+  std::ostringstream text;
+  text << std::ifstream(sidecar_path).rdbuf();
+  const ru::JsonValue sidecar = ru::JsonValue::parse(text.str());
+  const ru::JsonValue::Array& entries = sidecar.find("entries")->as_array();
+  ASSERT_EQ(entries.size(), 1u);
+  const ru::JsonValue& real_chain =
+      entries.front().find("chains")->as_array().front();
+  const auto real_key =
+      rc::ChainKey::from_hex(real_chain.find("key")->as_string());
+  ASSERT_TRUE(real_key.has_value());
+  const rc::ChainKey stale_key{real_key->value ^ 1};
+
+  ru::JsonValue stale_chain = ru::JsonValue::object();
+  stale_chain.set("key", stale_key.hex());
+  stale_chain.set("platform_index", 0);
+  stale_chain.set("cost_index", 0);
+  stale_chain.set("kind", *real_chain.find("kind"));
+  ru::JsonValue stale_chains = ru::JsonValue::array();
+  stale_chains.push_back(std::move(stale_chain));
+  ru::JsonValue stale_entry = ru::JsonValue::object();
+  stale_entry.set("signature", *entries.front().find("signature"));
+  stale_entry.set("chains", std::move(stale_chains));
+  ru::JsonValue rewritten_entries = ru::JsonValue::array();
+  rewritten_entries.push_back(std::move(stale_entry));
+  rewritten_entries.push_back(entries.front());
+  ru::JsonValue rewritten = ru::JsonValue::object();
+  rewritten.set("version", 1);
+  rewritten.set("entries", std::move(rewritten_entries));
+  std::ofstream(sidecar_path, std::ios::trunc) << rewritten.dump(2);
+
+  rs::ServiceOptions options;
+  options.cache_dir = dir.str();
+  rs::SweepService service(options);
+  EXPECT_FALSE(service.cache().has_seeds(stale_key));
+  EXPECT_TRUE(service.cache().has_seeds(*real_key));
+}
+
 TEST(Persistence, CorruptSpillIsRejectedNotServed) {
-  // Two corruption shapes, both must be rejected: a tampered *input*
-  // field (the recomputed content signature no longer matches the
-  // filename) and a tampered *result* field (inputs re-hash clean — only
-  // the payload checksum can catch it).
+  // Two corruption shapes, both must be rejected in both stores: a
+  // tampered *input* field (the recomputed content signature no longer
+  // matches the filename) and a tampered *result* field (inputs re-hash
+  // clean — only the payload checksum can catch it).
   const auto tamper = [](const std::filesystem::path& file,
                          const std::string& needle,
                          const std::string& replacement) {
@@ -480,67 +610,72 @@ TEST(Persistence, CorruptSpillIsRejectedNotServed) {
     out << text;
   };
 
-  const auto expect_rejected = [&](const char* name, const std::string& needle,
+  const auto expect_rejected = [&](const SpillInput& input, const char* name,
+                                   const std::string& needle,
                                    const std::string& replacement) {
-    ScratchDir dir(name);
-    const auto grid = small_grid();
+    SCOPED_TRACE(input.name);
+    ScratchDir dir(std::string(name) + "_" + input.name);
     rc::GridSignature signature;
     {
       rs::ServiceOptions options;
       options.cache_dir = dir.str();
       rs::SweepService service(options);
-      signature = service.submit(grid).signature;
+      signature = input.submit(service, /*other=*/false).signature;
     }
     const std::filesystem::path file =
-        dir.path() / (signature.hex() + ".json");
+        dir.path() / (signature.hex() + input.suffix);
     ASSERT_TRUE(std::filesystem::exists(file));
     tamper(file, needle, replacement);
 
     rs::ServiceOptions options;
     options.cache_dir = dir.str();
     rs::SweepService service(options);
-    const rs::SubmitResult result = service.submit(grid);
+    const Served result = input.submit(service, /*other=*/false);
     EXPECT_FALSE(result.cache_hit) << name;  // recomputed, never served
-    EXPECT_EQ(service.tables_computed(), 1u) << name;
-    EXPECT_GE(service.cache().disk_rejects(), 1u) << name;
-    EXPECT_TRUE(
-        rc::tables_bit_identical(*result.table, rc::SweepRunner().run(grid)))
-        << name;
+    EXPECT_TRUE(input.computed_once(service)) << name;
+    EXPECT_GE(input.disk_rejects(service), 1u) << name;
+    EXPECT_TRUE(result.matches_cold) << name;
   };
 
-  expect_rejected("corrupt_input", "\"nodes\":512", "\"nodes\":513");
-  expect_rejected("corrupt_result", "\"segments_n\":", "\"segments_n\":9");
+  const SpillInput analytic = analytic_spill_input();
+  expect_rejected(analytic, "corrupt_input", "\"nodes\":512", "\"nodes\":513");
+  expect_rejected(analytic, "corrupt_result", "\"segments_n\":",
+                  "\"segments_n\":9");
+  const SpillInput simulate = simulate_spill_input();
+  expect_rejected(simulate, "corrupt_input", "\"nodes\":512", "\"nodes\":513");
+  expect_rejected(simulate, "corrupt_result", "\"mean\":", "\"mean\":9");
 }
 
 TEST(Persistence, ForeignSpillUnderWrongNameIsRejected) {
-  // A valid table file parked under another grid's signature (e.g. a
+  // A valid table file parked under another request's signature (e.g. a
   // mis-copied cache directory) must be recomputed, not served.
-  ScratchDir dir("foreign");
-  const auto grid_a = small_grid();
-  auto grid_b = small_grid();
-  grid_b.node_counts = {1024};
-  rc::GridSignature signature_a;
-  rc::GridSignature signature_b;
-  {
+  for (const SpillInput& input :
+       {analytic_spill_input(), simulate_spill_input()}) {
+    SCOPED_TRACE(input.name);
+    ScratchDir dir(std::string("foreign_") + input.name);
+    rc::GridSignature signature_a;
+    rc::GridSignature signature_b;
+    {
+      rs::ServiceOptions options;
+      options.cache_dir = dir.str();
+      rs::SweepService service(options);
+      signature_a = input.submit(service, /*other=*/false).signature;
+      signature_b = input.submit(service, /*other=*/true).signature;
+    }
+    // Overwrite A's file with B's content.
+    std::filesystem::copy_file(
+        dir.path() / (signature_b.hex() + input.suffix),
+        dir.path() / (signature_a.hex() + input.suffix),
+        std::filesystem::copy_options::overwrite_existing);
+
     rs::ServiceOptions options;
     options.cache_dir = dir.str();
     rs::SweepService service(options);
-    signature_a = service.submit(grid_a).signature;
-    signature_b = service.submit(grid_b).signature;
+    const Served result = input.submit(service, /*other=*/false);
+    EXPECT_FALSE(result.cache_hit);
+    EXPECT_GE(input.disk_rejects(service), 1u);
+    EXPECT_TRUE(result.matches_cold);
   }
-  // Overwrite A's file with B's content.
-  std::filesystem::copy_file(dir.path() / (signature_b.hex() + ".json"),
-                             dir.path() / (signature_a.hex() + ".json"),
-                             std::filesystem::copy_options::overwrite_existing);
-
-  rs::ServiceOptions options;
-  options.cache_dir = dir.str();
-  rs::SweepService service(options);
-  const rs::SubmitResult result = service.submit(grid_a);
-  EXPECT_FALSE(result.cache_hit);
-  EXPECT_GE(service.cache().disk_rejects(), 1u);
-  EXPECT_TRUE(
-      rc::tables_bit_identical(*result.table, rc::SweepRunner().run(grid_a)));
 }
 
 TEST(SeedReuse, ConcurrentRelatedSubmissionsStayBitIdentical) {
@@ -644,6 +779,62 @@ TEST(SweepService, ConcurrentIdenticalSubmissionsDedupe) {
     EXPECT_TRUE(rc::tables_bit_identical(*results[0].table, *results[i].table));
     expect_exact_cell_set(*results[i].table, sinks[i].cells());
   }
+}
+
+TEST(SubmitPipeline, JoinerStopsWaitingWhenItsOwnDeadlinePasses) {
+  // The leader has no deadline and computes until the test releases it; a
+  // joiner whose deadline passes while it waits must unwind on its own
+  // token, not hold its worker until the leader's compute ends.
+  using TablePtr = std::shared_ptr<const rc::SweepTable>;
+  rs::SubmitPipeline<rc::SweepTable> pipeline;
+  const rc::GridSignature signature{42};
+  std::promise<void> leader_started;
+  std::promise<void> release_leader;
+  const std::shared_future<void> released =
+      release_leader.get_future().share();
+
+  const auto submit = [&](const rc::CancelToken& cancel) {
+    return pipeline.submit(
+        signature, cancel,
+        rs::SubmitSteps{
+            .find = [](bool*) { return TablePtr{}; },
+            .matches = [](const rc::SweepTable&) { return true; },
+            .replay = [](const rc::SweepTable&) {},
+            .compute =
+                [&](bool) {
+                  leader_started.set_value();
+                  // Bounded, so a joiner that never unwinds fails the
+                  // test instead of hanging it.
+                  (void)released.wait_for(std::chrono::seconds(5));
+                  return std::make_shared<const rc::SweepTable>();
+                },
+            .publish = [](const TablePtr&) {}});
+  };
+
+  std::thread leader([&] { (void)submit(rc::CancelToken{}); });
+  leader_started.get_future().wait();
+
+  rc::CancelToken cancel;
+  const auto start = std::chrono::steady_clock::now();
+  cancel.set_deadline(start + std::chrono::milliseconds(20));
+  bool deadline_expired = false;
+  try {
+    (void)submit(cancel);
+  } catch (const rc::SweepCancelled& cancelled) {
+    deadline_expired = cancelled.deadline_expired();
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  const bool leader_still_computing =
+      released.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
+  release_leader.set_value();
+  leader.join();
+
+  EXPECT_TRUE(deadline_expired);
+  EXPECT_LT(waited, std::chrono::seconds(2));
+  EXPECT_TRUE(leader_still_computing);
+  EXPECT_EQ(pipeline.deadline_timeouts(), 1u);
+  EXPECT_EQ(pipeline.joins(), 0u);
+  EXPECT_EQ(pipeline.computed(), 1u);
 }
 
 // ------------------------------------------------------- serialization --

@@ -3,18 +3,23 @@
 // contract (bit-identical tables at pool sizes 1/2/8, sub-grid splits
 // matching whole-grid computes cell for cell), the adaptive stopper's
 // cap property (raising max_runs never changes an early-stopped cell),
-// the sim cache tier (memory hits and disk spill/reload), cost-model
-// pricing, and the JsonlSession wire behavior (streamed cell lines, a
-// "mode":"simulate" done line, the server-side sim_max_runs cap).
+// the sim cache tier (memory hits, disk spill/reload, counters kept apart
+// from the analytic store's), the shared submit pipeline (in-flight
+// dedupe, deadline accounting), cost-model pricing, and the JsonlSession
+// wire behavior (streamed cell lines, a "mode":"simulate" done line, the
+// server-side sim_max_runs cap).
 
 #include "resilience/service/sim_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "resilience/service/cost_model.hpp"
@@ -338,6 +343,104 @@ TEST(SimService, SecondSubmitReplaysFromTheMemoryTier) {
   }
   EXPECT_EQ(service.sim().submits(), 2u);
   EXPECT_EQ(service.sim().cache_hits(), 1u);
+}
+
+TEST(SimService, SimulateTrafficLeavesTheAnalyticCacheCountersAlone) {
+  rs::SweepService service;
+  const auto request = small_sim_request();
+  (void)service.sim().submit(request);
+  (void)service.sim().submit(request);
+
+  const rs::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache_lookup_hits, 0u);
+  EXPECT_EQ(stats.cache_lookup_misses, 0u);
+  EXPECT_EQ(stats.cache_size, 0u);
+  EXPECT_EQ(stats.sim_cache_hits, 1u);
+}
+
+TEST(SimService, ConcurrentIdenticalSubmitsComputeOnce) {
+  ru::ThreadPool pool(2);
+  rs::ServiceOptions options;
+  options.sweep.pool = &pool;
+  rs::SweepService service(options);
+  const auto request = small_sim_request();
+  constexpr std::size_t kCallers = 6;
+
+  // The first cell delivered anywhere is the leader's live one (joiners
+  // and hits only replay once it has published): hold it until every
+  // caller has entered submit, then leave them time to reach the join.
+  std::atomic<bool> first_cell{true};
+  std::vector<std::vector<rs::SimCell>> streamed(kCallers);
+  std::vector<rs::SimSubmitResult> results(kCallers);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kCallers; ++i) {
+      threads.emplace_back([&, i] {
+        results[i] = service.sim().submit(
+            request, [&, i](const rs::SimCell& cell) {
+              if (first_cell.exchange(false)) {
+                while (service.sim().submits() < kCallers) {
+                  std::this_thread::yield();
+                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(250));
+              }
+              streamed[i].push_back(cell);
+            });
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+  }
+
+  const rs::SimSubmitResult* leader = nullptr;
+  std::size_t joined = 0;
+  for (const rs::SimSubmitResult& result : results) {
+    if (!result.cache_hit && !result.joined_in_flight) {
+      ASSERT_EQ(leader, nullptr) << "two callers computed";
+      leader = &result;
+    }
+    joined += result.joined_in_flight ? 1 : 0;
+  }
+  ASSERT_NE(leader, nullptr);
+  const rs::SimTable& table = *leader->table;
+  EXPECT_EQ(service.sim().cells_computed(), table.cell_count());
+  EXPECT_GE(joined, 1u);
+  EXPECT_EQ(service.stats().sim_joined_in_flight, joined);
+
+  const std::string leader_done = rs::sim_done_line(
+      request.id, leader->signature, table, leader->cache_hit);
+  EXPECT_NE(leader_done.find("\"cache_hit\":false"), std::string::npos);
+  for (std::size_t i = 0; i < kCallers; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(rs::sim_tables_bit_identical(*results[i].table, table));
+    ASSERT_EQ(streamed[i].size(), table.cells.size());
+    for (std::size_t c = 0; c < table.cells.size(); ++c) {
+      EXPECT_EQ(rs::to_json(streamed[i][c]).dump(),
+                rs::to_json(table.cells[c]).dump())
+          << "cell " << c;
+    }
+    if (results[i].joined_in_flight) {
+      EXPECT_EQ(rs::sim_done_line(request.id, results[i].signature,
+                                  *results[i].table, results[i].cache_hit),
+                leader_done);
+    }
+  }
+}
+
+TEST(SimService, ExpiredDeadlineThrowsAndCountsATimeout) {
+  rs::SweepService service;
+  rc::CancelToken cancel;
+  cancel.set_deadline(std::chrono::steady_clock::now() -
+                      std::chrono::seconds(1));
+  try {
+    (void)service.sim().submit(small_sim_request(), nullptr, cancel);
+    FAIL() << "an expired deadline must cancel the submit";
+  } catch (const rc::SweepCancelled& cancelled) {
+    EXPECT_TRUE(cancelled.deadline_expired());
+  }
+  EXPECT_EQ(service.stats().deadline_timeouts, 1u);
+  EXPECT_EQ(service.sim().cells_computed(), 0u);
 }
 
 TEST(SimService, DiskTierServesAcrossARestartBitIdentically) {
