@@ -10,10 +10,12 @@
 // outbound queue; the loop drains them into the sockets on writability
 // edges.
 //
-// Scheduling & overload control (PR 8): received request lines no longer
-// drain FIFO into the executor. Each line is *priced* at admission
-// (service::estimate_line_cost — cache-aware predicted compute units)
-// and queued per connection; a start-time fair queue picks the next
+// Scheduling & overload control: received request lines do not drain
+// FIFO into the executor. Each line is parsed once and *priced* at
+// admission (service::estimate_line_cost — the typed ParsedLine with its
+// cache-aware predicted compute units); the session later serves that
+// same ParsedLine, so a scenario line is never parsed twice. Lines are
+// queued per connection; a start-time fair queue picks the next
 // request globally — the connection whose head carries the smallest
 // virtual start tag wins, earliest queue deadline breaking ties — so
 // cheap requests from other connections overtake a heavy client's
@@ -30,8 +32,16 @@
 //     worker;
 //   * ping/stats/invalid lines are always admitted at nominal cost —
 //     observability keeps working exactly when the server is busiest.
+// One shortcut skips the executor: when an idle connection's head is a
+// memory-resident identity hit of at most 64 cells, the loop thread has
+// the session replay it right there (LineSession::serve_resident) — no
+// thread hand-off in either direction. It jumps the fair queue's
+// cross-connection order, never its own connection's, and anything else
+// (a miss, a disk-only or since-evicted table, a bigger grid) still goes
+// to a worker.
 // Every stage is measured: queue-wait / compute / write latency
-// histograms plus admitted/shed counters, via overload_stats[_json]().
+// histograms plus admitted/shed/answered-inline counters, via
+// overload_stats[_json]().
 //
 // Protocol = the stdin sweep_server protocol, byte for byte: both front
 // ends feed service::JsonlSession, so a request answered over TCP and
@@ -114,6 +124,10 @@ struct OverloadStats {
   std::size_t queued_depth = 0;     ///< current waiting scenario requests
   double drain_rate_units_per_ms = 0.0;  ///< EWMA completion rate
   std::int64_t retry_after_ms = 0;  ///< hint a shed answered right now gets
+  /// Memory-resident identity hits the event-loop thread answered itself,
+  /// without a worker hand-off (also counted in admitted and the
+  /// latency histograms).
+  std::uint64_t answered_inline = 0;
   LatencyHistogram queue_wait;      ///< admission -> worker dispatch
   LatencyHistogram compute;         ///< worker dispatch -> response done
   LatencyHistogram write;           ///< response done -> socket drained

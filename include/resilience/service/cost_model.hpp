@@ -25,7 +25,9 @@
 #include <string>
 #include <string_view>
 
+#include "resilience/core/sweep.hpp"
 #include "resilience/service/scenario_request.hpp"
+#include "resilience/util/json.hpp"
 
 namespace resilience::service {
 
@@ -64,20 +66,39 @@ struct CostEstimate {
 [[nodiscard]] CostEstimate estimate_cost(const ScenarioRequest& request,
                                          const SweepService* service);
 
-/// Admission-time pre-parse of one raw input line. The transport cannot
-/// afford to *execute* a line before deciding where it queues, but it can
-/// afford one parse: estimate_line_cost() classifies the line and prices
-/// it without side effects. Lines that fail to parse as scenario requests
-/// (pings, stats, malformed JSON) report scenario=false — they answer in
-/// microseconds, so schedulers give them a nominal cost and always admit
-/// them (observability must keep working under overload).
-struct LineCost {
-  bool scenario = false;   ///< parsed as a well-formed scenario request
-  CostEstimate estimate;   ///< meaningful only when scenario
-  int deadline_ms = 0;     ///< resolved deadline (request's, else default)
-  std::string id;          ///< explicit request id ("" = transport default)
+/// One request line, parsed once. On the daemon the transport parses and
+/// prices each line at admission (estimate_line_cost) — it cannot place a
+/// line it has not classified — and hands this same object to the
+/// session that serves it (LineSession::serve), so a scenario line is
+/// JSON-parsed and validated exactly once on its way through.
+/// Lines that fail to parse as scenario requests (pings, stats,
+/// malformed JSON) report scenario=false — they answer in microseconds,
+/// so schedulers give them a nominal cost and always admit them
+/// (observability must keep working under overload), and the session
+/// answers them from their raw text.
+struct ParsedLine {
+  bool scenario = false;     ///< parsed as a well-formed scenario request
+  ScenarioRequest request;   ///< meaningful only when scenario
+  /// The signature SweepService::submit (or SimService::submit, for
+  /// simulate requests) will serve the request under; zero when parsed
+  /// without a service.
+  core::GridSignature signature;
+  CostEstimate estimate;     ///< admission price (estimate_line_cost only)
+  int deadline_ms = 0;       ///< resolved deadline (request's, else default)
 };
 
+/// Completes a parsed request object into a ParsedLine: validates it as a
+/// scenario request (throws RequestError, like ScenarioRequest::from_json),
+/// signs it against `service` (may be null) and resolves its deadline.
+/// Does not price it.
+[[nodiscard]] ParsedLine parse_request(const util::JsonValue& json,
+                                       const SweepService* service,
+                                       int default_deadline_ms);
+
+/// The admission parse: parse_request over the raw line plus the cost
+/// estimate, without side effects (cache probes only). Never throws; a
+/// line that is not a scenario request comes back with scenario=false.
+using LineCost = ParsedLine;
 [[nodiscard]] LineCost estimate_line_cost(std::string_view line,
                                           const SweepService* service,
                                           int default_deadline_ms);

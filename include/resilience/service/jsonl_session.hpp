@@ -3,8 +3,12 @@
 // One JSONL request/response session over a SweepService — the request
 // processing that used to live inside sweep_server's main loop, factored
 // out so every front-end (the stdin CLI, the epoll daemon, the loopback
-// bench) speaks byte-identical protocol BY CONSTRUCTION: they all feed
-// input lines through handle_line() and emit the lines it produces.
+// bench) speaks byte-identical protocol BY CONSTRUCTION: the stdin path
+// feeds input lines through handle_line(), which parses each line once
+// and serves it; the daemon, which already parsed and priced every
+// scenario line at admission, hands that ParsedLine to serve() (or, for
+// a memory-resident identity hit, to serve_resident() on its event-loop
+// thread). All three run the same serve path and emit the same lines.
 //
 // Per input line:
 //   * blank / '#'-comment     — skipped (still counted: default request
@@ -32,8 +36,8 @@
 // grid recomputes it).
 //
 // Deadlines: a request's "deadline_ms" (or, when absent, the session's
-// default_deadline_ms) bounds COMPUTE time, measured from when
-// handle_line starts executing the request — queue/transport wait is
+// default_deadline_ms) bounds COMPUTE time, measured from when the
+// session starts executing the request — queue/transport wait is
 // excluded, so the bound a client states is about the engine, not about
 // pipeline depth. On expiry the request answers with one located
 // {"type":"error"} line (field "deadline_ms") and the session moves on;
@@ -51,6 +55,7 @@
 #include <string_view>
 #include <vector>
 
+#include "resilience/service/cost_model.hpp"
 #include "resilience/service/line_session.hpp"
 #include "resilience/service/scenario_request.hpp"
 #include "resilience/service/serialize.hpp"
@@ -116,6 +121,15 @@ class JsonlSession final : public LineSession {
   /// never propagate.
   void handle_line(std::string_view line) override;
 
+  /// Serves a scenario line the daemon parsed at admission: the same
+  /// path handle_line takes after its own parse.
+  void serve(ParsedLine& parsed, std::string_view line) override;
+
+  /// serve() confined to a memory-resident identity hit (see
+  /// LineSession::serve_resident): the same cell/done lines, from the
+  /// caller's thread, or false with nothing emitted or counted.
+  bool serve_resident(ParsedLine& parsed) override;
+
   /// A transport consumed one input line without handing it over (shed at
   /// admission): tick the line counter so later default "line-N" ids stay
   /// aligned with a run where every line reached handle_line.
@@ -133,6 +147,9 @@ class JsonlSession final : public LineSession {
 
  private:
   void emit(std::string line, bool end_of_response);
+  /// Serves one parsed scenario request; false (nothing emitted) only
+  /// when `resident_only` and it is not a memory-resident identity hit.
+  bool serve_parsed(ParsedLine& parsed, bool resident_only);
 
   SweepService& service_;
   LineFn emit_;

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "resilience/core/cancel.hpp"
 #include "resilience/service/scenario_request.hpp"
@@ -65,6 +66,12 @@ class SimService {
   SimSubmitResult submit(const ScenarioRequest& request,
                          const SimCellFn& sink = nullptr,
                          core::CancelToken cancel = {});
+
+  /// submit() confined to a memory-resident identity hit (see
+  /// SweepService::submit_resident); `signature` is signature_for(request).
+  std::optional<SimSubmitResult> submit_resident(
+      const ScenarioRequest& request, core::GridSignature signature,
+      const SimCellFn& sink, const core::CancelToken& cancel);
 
   /// The signature submit(request) will use.
   [[nodiscard]] core::GridSignature signature_for(

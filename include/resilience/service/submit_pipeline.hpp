@@ -15,6 +15,8 @@
 //
 // A fired token unwinds with core::SweepCancelled at any step and no
 // partial table is published; deadline expiries are counted.
+// replay_resident() is step 1 alone, restricted to the memory tier: what
+// the daemon's event loop may answer without handing off to a worker.
 
 #include <atomic>
 #include <chrono>
@@ -23,6 +25,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -174,6 +177,34 @@ class SubmitPipeline {
       }
       throw;
     }
+  }
+
+  /// The identity tier alone, for a caller that must not block — the
+  /// transport's event loop. `resident()` is a memory-only lookup that
+  /// returns a table only once it passed the collision guard (e.g.
+  /// TieredStore::find_resident with `matches` as the predicate); that
+  /// table replays and counts like submit()'s hit. Otherwise nullopt,
+  /// having delivered and counted nothing: never disk IO, never an
+  /// in-flight join, never a compute.
+  template <class Resident, class Replay>
+  std::optional<Outcome> replay_resident(core::GridSignature signature,
+                                         Resident&& resident,
+                                         Replay&& replay) {
+    Ptr table = resident();
+    if (table == nullptr) {
+      return std::nullopt;
+    }
+    try {
+      replay(*table);
+    } catch (const core::SweepCancelled& cancelled) {
+      if (cancelled.deadline_expired()) {
+        ++deadline_timeouts_;
+      }
+      throw;
+    }
+    ++cache_hits_;
+    return Outcome{std::move(table), signature, /*cache_hit=*/true,
+                   /*disk_hit=*/false, /*joined_in_flight=*/false};
   }
 
   // Monotonic counters; computed() includes collision recomputes.

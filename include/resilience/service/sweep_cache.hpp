@@ -4,8 +4,9 @@
 // tiered_store.hpp) sharing a capacity and a cache directory, plus a seed
 // tier layered on the analytic store.
 //
-//  * analytic tables — find/insert, tables(): the identity LRU and the
-//    verified '<dir>/<signature-hex>.json' spill of core::SweepTable.
+//  * analytic tables — find/find_resident/insert, tables(): the identity
+//    LRU and the verified '<dir>/<signature-hex>.json' spill of
+//    core::SweepTable.
 //  * simulate tables — sims(): the same store instantiated for SimTable,
 //    spilled as '<dir>/<signature-hex>.sim.json'. Monte Carlo campaigns
 //    share no "bit-equal point" granularity, so they have no seed tier.
@@ -25,6 +26,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "resilience/core/sweep.hpp"
@@ -53,6 +55,13 @@ class SweepCache final
                               const core::SweepOptions& options,
                               bool* loaded_from_disk = nullptr) {
     return tables_.find(signature, options, loaded_from_disk);
+  }
+
+  /// Analytic memory-tier-only lookup (see TieredStore::find_resident).
+  template <class Accept>
+  [[nodiscard]] TablePtr find_resident(core::GridSignature signature,
+                                       Accept&& accept) {
+    return tables_.find_resident(signature, std::forward<Accept>(accept));
   }
 
   /// Inserts an analytic table and indexes its chains for seeds_for().

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 
 #include "resilience/core/sweep.hpp"
 #include "resilience/service/scenario_request.hpp"
@@ -107,6 +108,15 @@ class SweepService {
   SubmitResult submit(const core::ScenarioGrid& grid,
                       core::CellSink* sink = nullptr,
                       core::CancelToken cancel = {});
+
+  /// submit(request) confined to a memory-resident identity hit, for a
+  /// caller that must not block (the daemon's event loop): replays the
+  /// table into `sink` and counts exactly like submit()'s hit, or returns
+  /// nullopt having delivered and counted nothing — no disk load, no
+  /// in-flight join, no compute. `signature` is signature_for(request).
+  std::optional<SubmitResult> submit_resident(
+      const ScenarioRequest& request, core::GridSignature signature,
+      core::CellSink* sink, const core::CancelToken& cancel);
 
   /// The signature submit(request) will use (the request's
   /// numeric_optimum applied over the service sweep options). Lets

@@ -6,7 +6,8 @@
 //
 //  * identity LRU — find(signature) hands out the same shared immutable
 //    table the compute produced, so a hit is bit-identical to a recompute
-//    by construction.
+//    by construction; find_resident() is the same lookup confined to this
+//    tier, for callers that must never wait on IO.
 //  * verified disk spill — with a directory, evicted and persisted tables
 //    are written as '<dir>/<signature-hex><suffix>' (a format tag, an
 //    FNV-1a checksum of the payload, and the canonical table JSON, whose
@@ -134,6 +135,25 @@ class TieredStore {
   [[nodiscard]] Ptr fetch(core::GridSignature signature,
                           const Context& context) {
     return lookup(signature, context, nullptr, /*count=*/false);
+  }
+
+  /// Memory tier only, for callers that must not block on IO: the
+  /// resident table when `accept(table)` holds, promoted and counted as a
+  /// hit exactly like find(); otherwise null, with nothing promoted or
+  /// counted. Never touches the disk tier. `accept` runs with the store's
+  /// lock held (so "counted" and "served" are one decision) and must not
+  /// call into the store.
+  template <class Accept>
+  [[nodiscard]] Ptr find_resident(core::GridSignature signature,
+                                  Accept&& accept) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(signature.value);
+    if (it == index_.end() || !accept(*it->second->table)) {
+      return nullptr;
+    }
+    ++counters_.hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->table;
   }
 
   /// Inserts (or refreshes) an entry, evicting — and spilling — the

@@ -330,20 +330,20 @@ util::JsonValue ShardFleet::collect_shard_stats() {
     if (!answer.is_object()) {
       continue;
     }
-    ++reporting;
     // Every block except the envelope (type/request) is counters —
     // service, cache and (for overload-controlled daemons) transport.
+    util::JsonValue blocks = util::JsonValue::object();
     for (const auto& [key, value] : answer.as_object()) {
-      if (key == "type" || key == "request") {
-        continue;
+      if (key != "type" && key != "request") {
+        blocks.set(key, value);
       }
-      if (const util::JsonValue* existing = merged.find(key)) {
-        util::JsonValue total = *existing;
-        sum_json_counters(total, value);
-        merged.set(key, std::move(total));
-      } else {
-        merged.set(key, value);
-      }
+    }
+    // sum_json_counters rebuilds the object, so every key stays unique
+    // (JsonValue::set appends).
+    if (reporting++ == 0) {
+      merged = std::move(blocks);
+    } else {
+      sum_json_counters(merged, blocks);
     }
   }
 

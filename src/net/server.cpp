@@ -47,6 +47,10 @@ constexpr double kNonScenarioCost = 1.0 / 64.0;
 /// Floor for a scenario charge so fully-warm requests still advance the
 /// virtual clock.
 constexpr double kMinScenarioCost = 1.0 / 1024.0;
+/// Largest identity hit the loop thread answers itself (advance_conn):
+/// rendering 64 cells takes about 0.4 ms, the most one answer may hold up
+/// every other socket. Bigger hits replay on a worker.
+constexpr std::size_t kMaxInlineCells = 64;
 
 std::uint64_t elapsed_us(Clock::time_point from, Clock::time_point to) {
   if (to <= from) {
@@ -82,19 +86,23 @@ struct NetServer::Impl {
     std::shared_ptr<std::atomic<bool>> cancel;
     std::unique_ptr<service::LineSession> session;
     struct Item {
-      std::string line;
+      std::string line;  ///< raw text (non-scenario lines, the router)
       bool framing_error = false;  ///< deferred oversized-line error
       std::string error_text;      ///< ...and its located message
       std::string error_id;
       // ---- scheduler state, filled at admission (admit_line) ----
       bool request = false;   ///< is_request_line (else numbering-only)
-      bool scenario = false;  ///< priced scenario request
+      /// The admission parse; a scenario line is served from it, never
+      /// parsed again.
+      service::ParsedLine parsed;
+      /// Priced as a small identity hit: advance_conn tries it once on
+      /// the loop thread before it queues for a worker.
+      bool inline_candidate = false;
       bool shed = false;      ///< rejected at admission; shed_text answers
       std::string shed_text;  ///< pre-formatted overloaded error line
       std::string response_id;  ///< id a transport-side answer would use
       double cost = 0.0;        ///< predicted compute units (charge)
       double start_tag = 0.0;   ///< fair-queue virtual start time
-      int deadline_ms = 0;      ///< resolved deadline (0 = none)
       bool has_queue_deadline = false;
       Clock::time_point enqueued{};
       Clock::time_point queue_deadline{};
@@ -329,10 +337,11 @@ struct NetServer::Impl {
 
   // -------------------------------------------------------- admission --
 
-  /// Prices one received line and either queues it (with its fair-queue
-  /// start tag) or pre-formats its shed answer. Runs on the loop thread;
-  /// the parse is the admission fee — the transport cannot place a line
-  /// it has not classified.
+  /// Parses and prices one received line and either queues it (with its
+  /// fair-queue start tag) or pre-formats its shed answer. Runs on the
+  /// loop thread; the parse is the admission fee — the transport cannot
+  /// place a line it has not classified — and the only parse the line
+  /// gets: the session later serves the queued ParsedLine.
   void admit_line(const ConnPtr& conn, std::string_view line) {
     ++conn->lines_received;
     Conn::Item item;
@@ -340,17 +349,20 @@ struct NetServer::Impl {
     item.enqueued = Clock::now();
     item.request = service::is_request_line(line);
     if (item.request) {
-      const service::LineCost priced = service::estimate_line_cost(
-          line, &service, options.default_deadline_ms);
-      item.scenario = priced.scenario;
-      item.cost = priced.scenario
-                      ? std::max(priced.estimate.units, kMinScenarioCost)
+      item.parsed = service::estimate_line_cost(line, &service,
+                                                options.default_deadline_ms);
+      const service::ParsedLine& parsed = item.parsed;
+      item.cost = parsed.scenario
+                      ? std::max(parsed.estimate.units, kMinScenarioCost)
                       : kNonScenarioCost;
-      item.deadline_ms = priced.deadline_ms;
       item.response_id =
-          priced.id.empty() ? "line-" + std::to_string(conn->lines_received)
-                            : priced.id;
-      if (item.scenario && should_shed(item.cost)) {
+          parsed.request.id.empty()
+              ? "line-" + std::to_string(conn->lines_received)
+              : parsed.request.id;
+      item.inline_candidate = parsed.scenario &&
+                              parsed.estimate.identity_hit &&
+                              parsed.estimate.cells <= kMaxInlineCells;
+      if (parsed.scenario && should_shed(item.cost)) {
         item.shed = true;
         std::int64_t retry_after = 0;
         {
@@ -369,17 +381,17 @@ struct NetServer::Impl {
         // connection's.
         item.start_tag = std::max(virtual_time, conn->finish_tag);
         conn->finish_tag = item.start_tag + item.cost;
-        if (item.scenario) {
+        if (parsed.scenario) {
           {
             const std::lock_guard<std::mutex> lock(ostats_mutex);
             ++ostats.admitted;
             ostats.queued_cost += item.cost;
             ++ostats.queued_depth;
           }
-          if (item.deadline_ms > 0) {
+          if (parsed.deadline_ms > 0) {
             item.has_queue_deadline = true;
             item.queue_deadline =
-                item.enqueued + std::chrono::milliseconds(item.deadline_ms);
+                item.enqueued + std::chrono::milliseconds(parsed.deadline_ms);
             arm_sched_timer(item.queue_deadline);
           }
         }
@@ -427,10 +439,11 @@ struct NetServer::Impl {
 
   /// Answers every head item of `conn` that needs no worker — numbering
   /// ticks for blank/comment lines, deferred framing errors, admission
-  /// sheds, and queue-deadline expiries — until the head is a runnable
-  /// request (or the backlog empties). Only legal while the connection
-  /// is not executing: inline answers would otherwise interleave with
-  /// the in-flight request's response stream.
+  /// sheds, queue-deadline expiries and small memory-resident identity
+  /// hits — until the head is a runnable request (or the backlog
+  /// empties). Only legal while the connection is not executing: inline
+  /// answers would otherwise interleave with the in-flight request's
+  /// response stream.
   void advance_conn(const ConnPtr& conn) {
     while (!conn->executing && !conn->socket->closed() &&
            !conn->backlog.empty()) {
@@ -458,7 +471,7 @@ struct NetServer::Impl {
         }
         continue;
       }
-      if (head.scenario && head.has_queue_deadline &&
+      if (head.parsed.scenario && head.has_queue_deadline &&
           Clock::now() >= head.queue_deadline) {
         // Expired while queued: answer the located deadline error right
         // here — the request never touches a worker.
@@ -470,7 +483,7 @@ struct NetServer::Impl {
         conn->session->note_skipped_line();
         conn->socket->enqueue(service::error_line(
             head.response_id, "deadline_ms",
-            "deadline of " + std::to_string(head.deadline_ms) +
+            "deadline of " + std::to_string(head.parsed.deadline_ms) +
                 " ms expired while the request was queued"));
         pop_head(conn);
         if (!flush_conn(conn)) {
@@ -478,7 +491,57 @@ struct NetServer::Impl {
         }
         continue;
       }
+      if (head.inline_candidate) {
+        head.inline_candidate = false;  // one try: a miss queues as usual
+        if (answer_inline(conn)) {
+          if (!flush_conn(conn)) {
+            return;
+          }
+          continue;
+        }
+      }
       return;  // runnable head: needs a worker slot
+    }
+  }
+
+  /// Asks the session to serve the head item on this (the loop) thread as
+  /// a memory-resident identity hit. On success the item is accounted
+  /// like a request that ran on a worker — started, queue wait, compute
+  /// time, write time — and leaves the backlog, which may lift the
+  /// connection's read hold. False: nothing was emitted; the item stays.
+  bool answer_inline(const ConnPtr& conn) {
+    Conn::Item& head = conn->backlog.front();
+    const auto start = Clock::now();
+    if (!conn->session->serve_resident(head.parsed)) {
+      return false;
+    }
+    const auto done = Clock::now();
+    virtual_time = std::max(virtual_time, head.start_tag);
+    discharge(head);
+    {
+      const std::lock_guard<std::mutex> lock(ostats_mutex);
+      ostats.queue_wait.record(elapsed_us(head.enqueued, start));
+      ostats.compute.record(elapsed_us(start, done));
+      ++ostats.answered_inline;
+    }
+    requests_started.fetch_add(1, std::memory_order_relaxed);
+    conn->write_pending = true;
+    conn->write_start = done;
+    pop_head(conn);
+    // on_request_done never runs for this request, so the read hold it
+    // would lift must be lifted here; the epoll re-arm reports input
+    // that arrived while reading was paused.
+    resume_reading(conn);
+    return true;
+  }
+
+  /// Lifts a pipeline-depth read hold once the backlog has drained to
+  /// the resume watermark.
+  void resume_reading(const ConnPtr& conn) {
+    if (conn->read_hold && !draining && !conn->input_closed &&
+        backlog_under_resume_watermark(conn)) {
+      conn->read_hold = false;
+      conn->socket->set_read_hold(false);
     }
   }
 
@@ -552,25 +615,29 @@ struct NetServer::Impl {
     pop_head(conn);
     const auto now = Clock::now();
     virtual_time = std::max(virtual_time, item.start_tag);
-    if (item.scenario) {
+    if (item.parsed.scenario) {
       discharge(item);
     }
     {
       const std::lock_guard<std::mutex> lock(ostats_mutex);
       ostats.queue_wait.record(elapsed_us(item.enqueued, now));
-      if (item.scenario) {
+      if (item.parsed.scenario) {
         executing_units += item.cost;
       }
     }
     conn->executing = true;
-    conn->executing_scenario = item.scenario;
+    conn->executing_scenario = item.parsed.scenario;
     conn->executing_cost = item.cost;
     conn->exec_start = now;
     ++active_requests;
     requests_started.fetch_add(1, std::memory_order_relaxed);
     const ConnPtr held = conn;
-    executor->submit([this, held, line = std::move(item.line)] {
-      held->session->handle_line(line);
+    executor->submit([this, held, item = std::move(item)]() mutable {
+      if (item.parsed.scenario) {
+        held->session->serve(item.parsed, item.line);
+      } else {
+        held->session->handle_line(item.line);
+      }
       loop.post([this, held] { on_request_done(held); });
     });
   }
@@ -608,11 +675,7 @@ struct NetServer::Impl {
     conn->write_start = now;
     if (!conn->socket->closed()) {
       if (flush_conn(conn)) {
-        if (conn->read_hold && !draining && !conn->input_closed &&
-            backlog_under_resume_watermark(conn)) {
-          conn->read_hold = false;
-          conn->socket->set_read_hold(false);
-        }
+        resume_reading(conn);
         // pump() reads only when input is open and unpaused, and always
         // advances the pipeline — including the deferred framing-error
         // item of an input_closed connection.
@@ -673,7 +736,7 @@ struct NetServer::Impl {
     bool found = false;
     for (const auto& [id, conn] : connections) {
       for (const Conn::Item& item : conn->backlog) {
-        if (item.scenario && !item.shed && item.has_queue_deadline &&
+        if (item.parsed.scenario && !item.shed && item.has_queue_deadline &&
             (!found || item.queue_deadline < earliest)) {
           earliest = item.queue_deadline;
           found = true;
@@ -701,6 +764,7 @@ struct NetServer::Impl {
     scheduler.set("drain_rate_units_per_ms",
                   snapshot.drain_rate_units_per_ms);
     scheduler.set("retry_after_ms", snapshot.retry_after_ms);
+    scheduler.set("answered_inline", snapshot.answered_inline);
     util::JsonValue latency = util::JsonValue::object();
     latency.set("queue_wait", histogram_json(snapshot.queue_wait));
     latency.set("compute", histogram_json(snapshot.compute));
@@ -760,7 +824,7 @@ struct NetServer::Impl {
     // Queued admissions die with the connection: refund their charge, or
     // the waiting budget would leak and eventually shed everything.
     for (const Conn::Item& item : conn->backlog) {
-      if (item.scenario && !item.shed) {
+      if (item.parsed.scenario && !item.shed) {
         discharge(item);
       }
     }

@@ -7,8 +7,18 @@
 
 namespace resilience::service {
 
-CostEstimate estimate_cost(const ScenarioRequest& request,
-                           const SweepService* service) {
+namespace {
+
+core::GridSignature sign(const ScenarioRequest& request,
+                         const SweepService& service) {
+  return request.simulate ? service.sim().signature_for(request)
+                          : service.signature_for(request);
+}
+
+/// `signature` is meaningful only when `service` is non-null.
+CostEstimate estimate_signed(const ScenarioRequest& request,
+                             const SweepService* service,
+                             core::GridSignature signature) {
   CostEstimate estimate;
   const core::ScenarioGrid& grid = request.grid;
 
@@ -19,8 +29,7 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
     // only make cells cheaper.
     estimate.cells = grid.cell_count() * request.sim.weibull_shape.size() *
                      request.sim.faulty_ops.size();
-    if (service != nullptr && service->cache().sims().contains(
-                                  service->sim().signature_for(request))) {
+    if (service != nullptr && service->cache().sims().contains(signature)) {
       estimate.identity_hit = true;
       estimate.units = static_cast<double>(estimate.cells) * kCostReplayCell;
       return estimate;
@@ -45,7 +54,7 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
 
   // Identity tier first: an exact-signature hit replays the finished
   // table — cost is per-cell serialization, not search.
-  if (service->cache().tables().contains(service->signature_for(request))) {
+  if (service->cache().tables().contains(signature)) {
     estimate.identity_hit = true;
     estimate.units = static_cast<double>(estimate.cells) * kCostReplayCell;
     return estimate;
@@ -78,23 +87,42 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
   return estimate;
 }
 
+}  // namespace
+
+CostEstimate estimate_cost(const ScenarioRequest& request,
+                           const SweepService* service) {
+  return estimate_signed(request, service,
+                         service != nullptr ? sign(request, *service)
+                                            : core::GridSignature{});
+}
+
+ParsedLine parse_request(const util::JsonValue& json,
+                         const SweepService* service,
+                         int default_deadline_ms) {
+  ParsedLine parsed;
+  parsed.request = ScenarioRequest::from_json(json);
+  parsed.scenario = true;
+  if (service != nullptr) {
+    parsed.signature = sign(parsed.request, *service);
+  }
+  const int own_deadline_ms = parsed.request.deadline_ms;
+  parsed.deadline_ms = own_deadline_ms > 0 ? own_deadline_ms
+                                           : default_deadline_ms;
+  return parsed;
+}
+
 LineCost estimate_line_cost(std::string_view line, const SweepService* service,
                             int default_deadline_ms) {
-  LineCost cost;
   try {
-    const ScenarioRequest request = ScenarioRequest::parse(line);
-    cost.scenario = true;
-    cost.id = request.id;
-    cost.deadline_ms =
-        request.deadline_ms > 0 ? request.deadline_ms : default_deadline_ms;
-    cost.estimate = estimate_cost(request, service);
+    LineCost cost = parse_request(util::JsonValue::parse(line), service,
+                                  default_deadline_ms);
+    cost.estimate = estimate_signed(cost.request, service, cost.signature);
+    return cost;
   } catch (...) {
-    // Not a valid scenario request (ping/stats/malformed): the executor
+    // Not a valid scenario request (ping/stats/malformed): the session
     // answers it in microseconds, so it carries no scenario estimate.
-    cost.scenario = false;
-    cost.deadline_ms = 0;
+    return {};
   }
-  return cost;
 }
 
 }  // namespace resilience::service

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "resilience/service/cost_model.hpp"
@@ -138,29 +139,54 @@ void JsonlSession::handle_line(std::string_view line) {
     }
   }
 
-  ScenarioRequest request;
+  ParsedLine parsed;
   try {
-    request = ScenarioRequest::from_json(json);
+    parsed = parse_request(json, &service_, options_.default_deadline_ms);
   } catch (const RequestError& error) {
     errors_ = true;
     emit(error_line(default_id, error.field, error.what()), true);
     return;
   }
+  serve_parsed(parsed, /*resident_only=*/false);
+}
+
+void JsonlSession::serve(ParsedLine& parsed, std::string_view) {
+  ++lines_;
+  if (cancelled()) {
+    return;
+  }
+  serve_parsed(parsed, /*resident_only=*/false);
+}
+
+bool JsonlSession::serve_resident(ParsedLine& parsed) {
+  if (cancelled()) {
+    return false;
+  }
+  ++lines_;  // the request's own line number names its default id
+  if (serve_parsed(parsed, /*resident_only=*/true)) {
+    return true;
+  }
+  --lines_;
+  return false;
+}
+
+bool JsonlSession::serve_parsed(ParsedLine& parsed, bool resident_only) {
+  ScenarioRequest& request = parsed.request;
   if (request.id.empty()) {
-    request.id = default_id;
+    request.id = "line-" + std::to_string(lines_);
   }
 
   // Compute budget: the request's own deadline wins; the session default
-  // covers requests that state none. Anchored here — execution start —
-  // so transport/queue wait never eats into the stated budget.
-  const int deadline_ms =
-      request.deadline_ms > 0 ? request.deadline_ms
-                              : options_.default_deadline_ms;
+  // covers requests that state none (resolved in parse_request). Anchored
+  // here — execution start — so transport/queue wait never eats into the
+  // stated budget.
+  const int deadline_ms = parsed.deadline_ms;
   core::CancelToken cancel(cancelled_);
   if (deadline_ms > 0) {
     cancel.set_deadline(std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(deadline_ms));
   }
+  const core::GridSignature signature = parsed.signature;
 
   try {
     if (request.simulate) {
@@ -168,15 +194,17 @@ void JsonlSession::handle_line(std::string_view line) {
       // — the error names the field so clients can lower their ask.
       if (options_.sim_max_runs > 0 &&
           request.sim.max_runs > options_.sim_max_runs) {
+        if (resident_only) {
+          return false;
+        }
         errors_ = true;
         emit(error_line(request.id, "sim.max_runs",
                         "exceeds the server cap of " +
                             std::to_string(options_.sim_max_runs) +
                             " runs per cell"),
              true);
-        return;
+        return true;
       }
-      const core::GridSignature signature = service_.sim().signature_for(request);
       const CostEstimate cost = request.include_stats
                                     ? estimate_cost(request, &service_)
                                     : CostEstimate{};
@@ -188,18 +216,22 @@ void JsonlSession::handle_line(std::string_view line) {
           }
         };
       }
-      const SimSubmitResult result =
-          service_.sim().submit(request, sink, cancel);
+      const std::optional<SimSubmitResult> result =
+          resident_only
+              ? service_.sim().submit_resident(request, signature, sink, cancel)
+              : service_.sim().submit(request, sink, cancel);
+      if (!result) {
+        return false;
+      }
       const util::JsonValue stats = request.include_stats
                                         ? stats_block(service_.stats(), cost)
                                         : util::JsonValue{};
-      emit(sim_done_line(request.id, result.signature, *result.table,
-                         result.cache_hit,
+      emit(sim_done_line(request.id, result->signature, *result->table,
+                         result->cache_hit,
                          request.include_stats ? &stats : nullptr),
            true);
-      return;
+      return true;
     }
-    const core::GridSignature signature = service_.signature_for(request);
     // Price the request BEFORE submitting: the estimate must reflect the
     // cache state an admission controller saw, not the state after this
     // very request published its table. Only when the client asked for
@@ -211,22 +243,28 @@ void JsonlSession::handle_line(std::string_view line) {
         request.id, signature, options_.stream, options_.collect,
         [this](std::string&& cell) { emit_(std::move(cell), false); },
         cancelled_);
-    const bool need_sink = options_.stream || options_.collect;
-    const SubmitResult result =
-        service_.submit(request, need_sink ? &sink : nullptr, cancel);
+    core::CellSink* const sink_ptr =
+        options_.stream || options_.collect ? &sink : nullptr;
+    const std::optional<SubmitResult> result =
+        resident_only
+            ? service_.submit_resident(request, signature, sink_ptr, cancel)
+            : service_.submit(request, sink_ptr, cancel);
+    if (!result) {
+      return false;
+    }
     const util::JsonValue stats = request.include_stats
                                       ? stats_block(service_.stats(), cost)
                                       : util::JsonValue{};
-    emit(done_line(request.id, result.signature, *result.table,
-                   result.cache_hit, result.joined_in_flight,
+    emit(done_line(request.id, result->signature, *result->table,
+                   result->cache_hit, result->joined_in_flight,
                    request.include_stats ? &stats : nullptr),
          true);
     if (outcome_) {
-      outcome_(Outcome{std::move(request), result, std::move(sink.cells())});
+      outcome_(Outcome{std::move(request), *result, std::move(sink.cells())});
     }
   } catch (const core::SweepCancelled& cancelled) {
     if (!cancelled.deadline_expired()) {
-      return;  // disconnect cancellation: the client is gone, stay silent
+      return true;  // disconnect cancellation: the client is gone, stay silent
     }
     errors_ = true;
     emit(error_line(request.id, "deadline_ms",
@@ -242,6 +280,7 @@ void JsonlSession::handle_line(std::string_view line) {
                     std::string("internal error: ") + error.what()),
          true);
   }
+  return true;
 }
 
 }  // namespace resilience::service

@@ -149,6 +149,28 @@ SimSubmitResult SimService::submit(const ScenarioRequest& request,
       });
 }
 
+std::optional<SimSubmitResult> SimService::submit_resident(
+    const ScenarioRequest& request, core::GridSignature signature,
+    const SimCellFn& sink, const core::CancelToken& cancel) {
+  const std::vector<core::ScenarioPoint> points =
+      core::resolve_points(request.grid);
+  const std::vector<core::PatternKind> kinds = request.grid.resolved_kinds();
+  const auto matches = [&](const SimTable& table) {
+    return table.params == request.sim && same_grid(table, points, kinds);
+  };
+  auto outcome = pipeline_.replay_resident(
+      signature, [&] { return cache_.sims().find_resident(signature, matches); },
+      [&](const SimTable& table) {
+        if (sink) {
+          replay_cells(table, cancel, sink);
+        }
+      });
+  if (outcome) {
+    submits_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return outcome;
+}
+
 std::shared_ptr<const SimTable> SimService::compute(
     const std::vector<core::ScenarioPoint>& points,
     const std::vector<core::PatternKind>& kinds, const SimParams& sim_params,

@@ -57,6 +57,31 @@ SubmitResult SweepService::submit(const core::ScenarioGrid& grid,
   return submit_impl(grid, options_.sweep, sink, /*reuse_seeds=*/true, cancel);
 }
 
+std::optional<SubmitResult> SweepService::submit_resident(
+    const ScenarioRequest& request, core::GridSignature signature,
+    core::CellSink* sink, const core::CancelToken& cancel) {
+  const std::vector<core::ScenarioPoint> points =
+      core::resolve_points(request.grid);
+  const std::vector<core::PatternKind> kinds = request.grid.resolved_kinds();
+  const auto matches = [&](const core::SweepTable& table) {
+    return same_grid(table, points, kinds);
+  };
+  auto outcome = pipeline_.replay_resident(
+      signature, [&] { return cache_.find_resident(signature, matches); },
+      [&](const core::SweepTable& table) {
+        if (sink != nullptr) {
+          replay_cells(table, cancel, [sink](const core::SweepCell& cell) {
+            sink->on_cell(cell);
+          });
+        }
+      });
+  if (!outcome) {
+    return std::nullopt;
+  }
+  submits_.fetch_add(1, std::memory_order_relaxed);
+  return SubmitResult{std::move(*outcome), /*seeded=*/false};
+}
+
 core::GridSignature SweepService::signature_for(
     const ScenarioRequest& request) const {
   core::SweepOptions sweep = options_.sweep;

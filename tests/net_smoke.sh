@@ -6,7 +6,9 @@
 # lines and the default "line-N" ids may not). Runs the serial and the
 # pipelined client against fresh daemons (a shared daemon would turn the
 # second run's cold submits into cache hits and legitimately change the
-# done-line flags), and pins the SIGTERM graceful drain (daemon exit 0).
+# done-line flags), then a warm pass (the file twice, so the repeats are
+# answered inline on the daemon's event-loop thread), and pins the
+# SIGTERM graceful drain (daemon exit 0).
 #
 # Usage: net_smoke.sh BUILD_DIR REQUEST_FILE
 set -u
@@ -59,5 +61,30 @@ sort "$TMP/pipeline.jsonl" >"$TMP/pipeline.sorted"
 diff -u "$TMP/stdin.sorted" "$TMP/pipeline.sorted" >&2 \
     || fail "pipelined responses differ from the stdin path"
 
-echo "net_smoke: OK (serial + pipelined byte-identical to the stdin path, graceful drain clean)"
+# Warm pass: the file twice, through the serial client, against one fresh
+# daemon. Each request is sent only after the previous answer, so the
+# repeats are memory-resident identity hits when admitted and the daemon
+# answers them on its event-loop thread; a one-burst pipelined client
+# would have every line priced before the first copy computed, and none
+# would be. The stats answer proves the inline path ran.
+cat "$REQUESTS" "$REQUESTS" >"$TMP/doubled.jsonl"
+"$BUILD/sweep_server" --cache-capacity=8 --input="$TMP/doubled.jsonl" \
+    >"$TMP/stdin_doubled.jsonl" 2>/dev/null
+rc=$?
+[ $rc -eq 3 ] || fail "sweep_server exit code $rc on the doubled file (expected 3)"
+sort "$TMP/stdin_doubled.jsonl" >"$TMP/stdin_doubled.sorted"
+echo '{"type": "stats", "id": "warm-stats"}' >"$TMP/stats.jsonl"
+start_daemon
+"$BUILD/sweep_client" --port="$PORT" --input="$TMP/doubled.jsonl" \
+    >"$TMP/warm.jsonl" || fail "warm-pass client failed"
+"$BUILD/sweep_client" --port="$PORT" --input="$TMP/stats.jsonl" \
+    >"$TMP/warm_stats.jsonl" || fail "warm-pass stats request failed"
+stop_daemon
+sort "$TMP/warm.jsonl" >"$TMP/warm.sorted"
+diff -u "$TMP/stdin_doubled.sorted" "$TMP/warm.sorted" >&2 \
+    || fail "warm-pass responses differ from the stdin path"
+grep -q '"answered_inline":[1-9]' "$TMP/warm_stats.jsonl" \
+    || fail "warm pass answered no identity hit on the event-loop thread: $(cat "$TMP/warm_stats.jsonl")"
+
+echo "net_smoke: OK (serial + pipelined + warm inline passes byte-identical to the stdin path, graceful drain clean)"
 exit 0

@@ -3,17 +3,21 @@
 // (both run service::JsonlSession, and these tests pin that the network
 // adds nothing), pipelining order, two concurrent pipelined clients,
 // cancellation on disconnect, the connection limit, oversized-line
-// rejection, slow-client drop, the stats surface and the graceful drain.
+// rejection, slow-client drop, the stats surface, the graceful drain and
+// the identity hits the event loop answers itself.
 //
-// Determinism note: requests here use single-cell grids, so even a
-// cache-miss compute streams its one cell in a deterministic order and
-// full response streams compare with EXPECT_EQ — no sort-normalization
-// needed (the CI net smoke covers the multi-cell case).
+// Determinism note: requests here use single-cell or single-chain grids
+// whenever a cache miss is compared, so even a cache-miss compute streams
+// its cells in a deterministic order and full response streams compare
+// with EXPECT_EQ — no sort-normalization needed (the CI net smoke covers
+// the multi-chain case). Hits replay in table order.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -63,8 +67,10 @@ std::string one_cell_request(const std::string& id, const std::string& platform,
 /// The stdin sweep_server path in-process: a fresh service + JsonlSession
 /// over the given input lines — the byte-for-byte reference every
 /// transport response is held to.
-Lines stdin_path_lines(const Lines& input) {
-  rs::SweepService service;  // defaults match NetServerOptions::service
+Lines stdin_path_lines(const Lines& input,
+                       rs::ServiceOptions options = {}) {
+  // Defaults match NetServerOptions::service.
+  rs::SweepService service(std::move(options));
   Lines out;
   rs::JsonlSession session(service, [&out](std::string&& line, bool) {
     out.push_back(std::move(line));
@@ -561,6 +567,198 @@ TEST(NetServer, DefaultDeadlineAppliesWhenRequestCarriesNone) {
   const Lines served = complete_lines(client.transact(roomy));
   ASSERT_FALSE(served.empty());
   EXPECT_NE(served.back().find("\"type\":\"done\""), std::string::npos);
+}
+
+// ------------------------------------------------ inline identity hits --
+//
+// A memory-resident identity hit of at most 64 cells is answered on the
+// event-loop thread itself; everything else — misses, disk-resident hits,
+// hits evicted between admission and execution, big hits — still goes to
+// a worker. Either way the bytes are the stdin path's.
+
+/// Sends `lines` in one write and reads one response per line.
+std::vector<Lines> pipeline(rn::Client& client, const Lines& lines) {
+  std::string all;
+  for (const std::string& line : lines) {
+    all += line;
+    all += '\n';
+  }
+  client.send_raw(all);
+  std::vector<Lines> responses;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    responses.push_back(complete_lines(client.read_response()));
+  }
+  return responses;
+}
+
+/// One single-chain request of `nodes.size()` cells on hera.
+std::string chain_request(const std::string& id,
+                          const std::vector<std::size_t>& nodes) {
+  std::string list;
+  for (const std::size_t n : nodes) {
+    list += (list.empty() ? "" : ", ") + std::to_string(n);
+  }
+  return "{\"id\": \"" + id +
+         "\", \"platforms\": [\"hera\"], \"node_counts\": [" + list +
+         "], \"kinds\": [\"PD\"]}";
+}
+
+/// A scratch cache directory removed on scope exit.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& tag)
+      : path_(std::filesystem::temp_directory_path() /
+              ("resilience_net_" + tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  [[nodiscard]] std::string str() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+TEST(NetServerInline, MixedHitsAndMissesAnswerInOrderLikeTheStdinPath) {
+  const auto sim_request = [](const std::string& id) {
+    return "{\"id\": \"" + id +
+           "\", \"platforms\": [\"hera\"], \"node_counts\": [512], "
+           "\"kinds\": [\"PD\"], \"mode\": \"simulate\", \"sim\": "
+           "{\"seed\": 5, \"max_runs\": 64, \"min_runs\": 32, "
+           "\"patterns_per_run\": 10}}";
+  };
+  const Lines warm{
+      one_cell_request("wa", "hera", 512),
+      one_cell_request("wb", "atlas", 1024),
+      sim_request("ws"),
+  };
+  const Lines mixed{
+      one_cell_request("a1", "hera", 512),     // resident: loop thread
+      one_cell_request("c1", "coastal", 256),  // miss: worker
+      one_cell_request("b1", "atlas", 1024),   // resident, behind a miss
+      sim_request("s1"),                       // resident simulate table
+      one_cell_request("a2", "hera", 512),     // resident
+      one_cell_request("d1", "hera", 2048),    // miss
+      one_cell_request("c2", "coastal", 256),  // priced cold, replays
+  };
+  Lines input = warm;
+  input.insert(input.end(), mixed.begin(), mixed.end());
+  const Lines expected = stdin_path_lines(input);
+
+  TestDaemon daemon;
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(30000);
+  Lines got;
+  for (const std::string& line : warm) {
+    const Lines response = complete_lines(client.transact(line));
+    got.insert(got.end(), response.begin(), response.end());
+  }
+  EXPECT_EQ(daemon->overload_stats().answered_inline, 0u);
+  const Lines pipelined = flatten(pipeline(client, mixed));
+  got.insert(got.end(), pipelined.begin(), pipelined.end());
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(daemon->overload_stats().answered_inline, 4u);
+  EXPECT_EQ(daemon->stats().requests_started, input.size());
+  // Inline answers are accounted like worker runs in every stage
+  // histogram (polled: a sample lands just after its response is sent).
+  const auto accounted = [&] {
+    const rn::OverloadStats stats = daemon->overload_stats();
+    return stats.queue_wait.count == input.size() &&
+           stats.compute.count == input.size() &&
+           stats.write.count == input.size();
+  };
+  for (int i = 0; i < 5000 && !accounted(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(accounted());
+}
+
+TEST(NetServerInline, HitEvictedBeforeItRunsIsServedByAWorker) {
+  // Capacity 1: B's compute evicts A between A's admission (priced as a
+  // hit) and A's turn, so the loop thread must find nothing and hand A
+  // to the worker, which recomputes it exactly as the stdin path does.
+  const std::string a = one_cell_request("a", "hera", 512);
+  const std::string b =
+      chain_request("b", {256, 384, 512 + 1, 768, 1024, 1536, 2048, 4096});
+  rs::ServiceOptions service;
+  service.cache_capacity = 1;
+  const Lines expected = stdin_path_lines({a, b, a}, service);
+
+  rn::NetServerOptions options;
+  options.request_workers = 1;
+  options.service = service;
+  TestDaemon daemon(std::move(options));
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(30000);
+  Lines got = complete_lines(client.transact(a));
+  const std::vector<Lines> tail = pipeline(client, {b, a});
+  got.insert(got.end(), tail[0].begin(), tail[0].end());
+  got.insert(got.end(), tail[1].begin(), tail[1].end());
+  EXPECT_EQ(got, expected);
+  EXPECT_NE(tail[1].back().find("\"cache_hit\":false"), std::string::npos)
+      << tail[1].back();
+  EXPECT_EQ(daemon->overload_stats().answered_inline, 0u);
+  EXPECT_EQ(daemon->stats().requests_started, 3u);
+}
+
+TEST(NetServerInline, DiskResidentHitIsServedByAWorker) {
+  const std::string a = one_cell_request("a", "hera", 512);
+  const std::string b = one_cell_request("b", "atlas", 512);
+  const ScratchDir reference_dir("inline_disk_ref");
+  const ScratchDir daemon_dir("inline_disk");
+  rs::ServiceOptions service;
+  service.cache_capacity = 1;  // B's insert spills A: A lives on disk only
+  service.cache_dir = reference_dir.str();
+  const Lines expected = stdin_path_lines({a, b, a}, service);
+
+  rn::NetServerOptions options;
+  options.service = service;
+  options.service.cache_dir = daemon_dir.str();
+  TestDaemon daemon(std::move(options));
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(30000);
+  Lines got;
+  for (const std::string& line : {a, b, a}) {
+    const Lines response = complete_lines(client.transact(line));
+    got.insert(got.end(), response.begin(), response.end());
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_NE(got.back().find("\"cache_hit\":true"), std::string::npos)
+      << got.back();
+  EXPECT_EQ(daemon->service().stats().disk_hits, 1u);
+  EXPECT_EQ(daemon->overload_stats().answered_inline, 0u);
+}
+
+TEST(NetServerInline, HitAboveTheCellBoundIsServedByAWorker) {
+  // 3 platforms x 4 node counts x 6 kinds = 72 cells > 64; first-order
+  // only, so the cold warm-up stays cheap.
+  const std::string big =
+      "{\"id\": \"big\", \"platforms\": [\"hera\", \"atlas\", \"coastal\"], "
+      "\"node_counts\": [256, 512, 1024, 2048], \"numeric_optimum\": false}";
+  const std::string small = one_cell_request("small", "hera", 512);
+  const Lines expected = stdin_path_lines({big, small, big, small});
+
+  TestDaemon daemon;
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(30000);
+  const Lines cold_big = complete_lines(client.transact(big));
+  ASSERT_EQ(cold_big.size(), 73u);  // 72 cells + done
+  (void)complete_lines(client.transact(small));
+  const std::vector<Lines> warm = pipeline(client, {big, small});
+  const Lines tail(expected.end() - static_cast<std::ptrdiff_t>(
+                                        warm[0].size() + warm[1].size()),
+                   expected.end());
+  EXPECT_EQ(flatten(warm), tail);
+  EXPECT_NE(warm[0].back().find("\"cache_hit\":true"), std::string::npos);
+  // Only the one-cell hit was answered on the loop thread.
+  EXPECT_EQ(daemon->overload_stats().answered_inline, 1u);
 }
 
 /// A deliberately misbehaving server for client-robustness tests: accepts

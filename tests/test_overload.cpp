@@ -365,6 +365,48 @@ TEST(Overload, ResilientClientHealsThroughAShedOnceLoadDrains) {
   }
 }
 
+TEST(Overload, InlineHitsPastThePipelineDepthAllAnswer) {
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  // Resident hits answer on the loop thread and never reach
+  // on_request_done, so the read hold a deep pipeline sets must be lifted
+  // by the inline path itself. The padded ids make the burst (~30 KB)
+  // larger than one socket read, so most of it is still in the kernel
+  // when reading pauses at depth 4: a hold that is never lifted strands
+  // it and the client times out.
+  rn::NetServerOptions options;
+  options.max_pipeline_depth = 4;
+  options.request_workers = 1;
+  TestDaemon daemon(std::move(options));
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(10000);
+  ASSERT_TRUE(client.transact(cheap_request("warm", 512)).complete);
+
+  constexpr int kHits = 64;
+  const std::string pad(400, 'x');
+  std::string burst;
+  for (int i = 0; i < kHits; ++i) {
+    burst += cheap_request("hit-" + std::to_string(i) + "-" + pad, 512);
+    burst += '\n';
+  }
+  ASSERT_GT(burst.size(), 16384u * 1.5);
+  client.send_raw(burst);
+  for (int i = 0; i < kHits; ++i) {
+    const rn::Client::Response response = client.read_response();
+    ASSERT_TRUE(response.complete) << "response " << i;
+    ASSERT_EQ(response.lines.size(), 2u);
+    EXPECT_NE(response.lines.back().find("\"request\":\"hit-" +
+                                         std::to_string(i) + "-"),
+              std::string::npos);
+    EXPECT_NE(response.lines.back().find("\"cache_hit\":true"),
+              std::string::npos);
+  }
+  EXPECT_EQ(daemon->overload_stats().answered_inline,
+            static_cast<std::uint64_t>(kHits));
+}
+
 TEST(Overload, StatsAnswerCarriesTransportBlock) {
   if (!rn::transport_supported()) {
     GTEST_SKIP() << "transport requires Linux";
@@ -390,4 +432,7 @@ TEST(Overload, StatsAnswerCarriesTransportBlock) {
   EXPECT_NE(latency->find("queue_wait"), nullptr);
   EXPECT_NE(latency->find("compute"), nullptr);
   EXPECT_NE(latency->find("write"), nullptr);
+  // Appended after the historical keys, so existing readers are unmoved.
+  ASSERT_FALSE(scheduler->as_object().empty());
+  EXPECT_EQ(scheduler->as_object().back().first, "answered_inline");
 }

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,9 +24,11 @@
 #include "resilience/net/router.hpp"
 #include "resilience/net/server.hpp"
 #include "resilience/net/socket.hpp"
+#include "resilience/util/json.hpp"
 
 namespace rn = resilience::net;
 namespace rs = resilience::service;
+namespace util = resilience::util;
 
 namespace {
 
@@ -479,6 +482,50 @@ TEST(Router, StatsOptInMergesPerShardBlocksOnTheDoneLine) {
   ASSERT_EQ(collector.responses.size(), 2u);
   EXPECT_EQ(collector.responses[1].back().find("\"stats\":"),
             std::string::npos);
+}
+
+TEST(Router, StatsAnswerParsesAndSumsEachShardBlockOnce) {
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  TestDaemon s1, s2;
+  rn::ShardFleet fleet{fleet_options({s1.port(), s2.port()})};
+  (void)run_router(fleet, fleet_workload());
+
+  // Each shard's own count, read straight from the daemon.
+  double shard_submits = 0.0;
+  for (const std::uint16_t port : {s1.port(), s2.port()}) {
+    rn::Client client;
+    client.connect("127.0.0.1", port);
+    const rn::Client::Response response =
+        client.transact("{\"type\": \"stats\"}");
+    ASSERT_TRUE(response.complete);
+    ASSERT_EQ(response.lines.size(), 1u);
+    const util::JsonValue stats = util::JsonValue::parse(response.lines[0]);
+    shard_submits += stats.find("service")->find("submits")->as_double();
+  }
+  EXPECT_GT(shard_submits, 0.0);
+
+  Collector collector;
+  rn::RouterSession session(fleet, collector.fn());
+  session.handle_line("{\"type\": \"stats\", \"id\": \"s\"}");
+  ASSERT_EQ(collector.responses.size(), 1u);
+  ASSERT_EQ(collector.responses[0].size(), 1u);
+  const std::string& line = collector.responses[0][0];
+  // The library's own parser rejects duplicate keys: the answer must be
+  // a well-formed document.
+  util::JsonValue answer;
+  ASSERT_NO_THROW(answer = util::JsonValue::parse(line)) << line;
+  const util::JsonValue* aggregate = answer.find("aggregate");
+  ASSERT_NE(aggregate, nullptr) << line;
+  std::set<std::string> keys;
+  for (const auto& [key, value] : aggregate->as_object()) {
+    EXPECT_TRUE(keys.insert(key).second) << "duplicate aggregate key " << key;
+  }
+  EXPECT_EQ(aggregate->find("reporting")->as_double(), 2.0);
+  const util::JsonValue* service = aggregate->find("service");
+  ASSERT_NE(service, nullptr) << line;
+  EXPECT_EQ(service->find("submits")->as_double(), shard_submits);
 }
 
 TEST(Router, CancelledSessionStopsDispatchingSilently) {
