@@ -33,12 +33,16 @@
 //   * ping/stats/invalid lines are always admitted at nominal cost —
 //     observability keeps working exactly when the server is busiest.
 // One shortcut skips the executor: when an idle connection's head is a
-// memory-resident identity hit of at most 64 cells, the loop thread has
-// the session replay it right there (LineSession::serve_resident) — no
-// thread hand-off in either direction. It jumps the fair queue's
-// cross-connection order, never its own connection's, and anything else
-// (a miss, a disk-only or since-evicted table, a bigger grid) still goes
-// to a worker.
+// memory-resident identity hit of at most 24 cells, and the workers
+// could not render it in parallel (one worker, or no other connection
+// has such a hit to render), the loop thread has the session replay it
+// right there (LineSession::serve_resident) — no thread hand-off in
+// either direction. It jumps the fair queue's cross-connection order,
+// never its own connection's, and anything else (a miss, a disk-only or
+// since-evicted table, a bigger grid, a hit beside other connections'
+// hits on several workers) still goes to a worker. A per-dispatch cell
+// budget keeps a deep pipeline of hits from holding the loop away from
+// other sockets for more than about half a millisecond.
 // Every stage is measured: queue-wait / compute / write latency
 // histograms plus admitted/shed/answered-inline counters, via
 // overload_stats[_json]().

@@ -95,6 +95,12 @@ struct ParsedLine {
                                        const SweepService* service,
                                        int default_deadline_ms);
 
+/// Approximate memory `parsed` holds, its own size plus the heap behind
+/// its axes — for transports that bound the memory of queued requests.
+/// The parsed form can be many times its text: a 7-byte `"hera",`
+/// becomes a core::Platform of about 90 bytes.
+[[nodiscard]] std::size_t footprint_bytes(const ParsedLine& parsed);
+
 /// The admission parse: parse_request over the raw line plus the cost
 /// estimate, without side effects (cache probes only). Never throws; a
 /// line that is not a scenario request comes back with scenario=false.

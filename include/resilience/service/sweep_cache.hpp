@@ -4,9 +4,8 @@
 // tiered_store.hpp) sharing a capacity and a cache directory, plus a seed
 // tier layered on the analytic store.
 //
-//  * analytic tables — find/find_resident/insert, tables(): the identity
-//    LRU and the verified '<dir>/<signature-hex>.json' spill of
-//    core::SweepTable.
+//  * analytic tables — find/insert, tables(): the identity LRU and the
+//    verified '<dir>/<signature-hex>.json' spill of core::SweepTable.
 //  * simulate tables — sims(): the same store instantiated for SimTable,
 //    spilled as '<dir>/<signature-hex>.sim.json'. Monte Carlo campaigns
 //    share no "bit-equal point" granularity, so they have no seed tier.
@@ -26,7 +25,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "resilience/core/sweep.hpp"
@@ -57,13 +55,6 @@ class SweepCache final
     return tables_.find(signature, options, loaded_from_disk);
   }
 
-  /// Analytic memory-tier-only lookup (see TieredStore::find_resident).
-  template <class Accept>
-  [[nodiscard]] TablePtr find_resident(core::GridSignature signature,
-                                       Accept&& accept) {
-    return tables_.find_resident(signature, std::forward<Accept>(accept));
-  }
-
   /// Inserts an analytic table and indexes its chains for seeds_for().
   void insert(core::GridSignature signature, TablePtr table,
               std::vector<core::GridChain> chains);
@@ -81,6 +72,12 @@ class SweepCache final
   /// Read-only view of the analytic store (probes and counters()): writes
   /// go through insert(), which also indexes the table's chains.
   [[nodiscard]] const TieredStore<core::SweepTable>& tables() const noexcept {
+    return tables_;
+  }
+  /// The analytic store for lookups that promote (find_resident, like
+  /// sims().find_resident); never insert through it — that would skip
+  /// the chain index.
+  [[nodiscard]] TieredStore<core::SweepTable>& tables() noexcept {
     return tables_;
   }
   /// The simulate-table store.

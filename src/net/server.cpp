@@ -47,10 +47,21 @@ constexpr double kNonScenarioCost = 1.0 / 64.0;
 /// Floor for a scenario charge so fully-warm requests still advance the
 /// virtual clock.
 constexpr double kMinScenarioCost = 1.0 / 1024.0;
-/// Largest identity hit the loop thread answers itself (advance_conn):
-/// rendering 64 cells takes about 0.4 ms, the most one answer may hold up
-/// every other socket. Bigger hits replay on a worker.
-constexpr std::size_t kMaxInlineCells = 64;
+/// Largest identity hit the loop thread answers itself (advance_conn),
+/// and only while the workers could not render hits in parallel — one
+/// worker, or at most one connection with hits to render (has_hit_work).
+/// Measured on 4 cores: one pipelining connection, alone or beside a
+/// connection streaming cold grids, or four on one worker, get 1-24-cell
+/// hits answered faster inline than through the executor hand-off, but
+/// four hit-streaming connections on the default worker count get them
+/// faster from the parallel workers. Bigger hits, and hits the workers
+/// can take in parallel, replay on a worker.
+constexpr std::size_t kMaxInlineCells = 24;
+/// Cells the loop thread renders inline per dispatch before it yields to
+/// the event loop (other sockets, timers, worker completions) and
+/// finishes from a posted continuation: a deep pipeline of hits holds up
+/// everything else for at most this plus one answer (about 0.4 ms).
+constexpr std::size_t kInlineCellBudget = 32;
 
 std::uint64_t elapsed_us(Clock::time_point from, Clock::time_point to) {
   if (to <= from) {
@@ -95,7 +106,10 @@ struct NetServer::Impl {
       /// The admission parse; a scenario line is served from it, never
       /// parsed again.
       service::ParsedLine parsed;
-      /// Priced as a small identity hit: advance_conn tries it once on
+      /// Memory the item holds while queued — its text plus the parsed
+      /// request — as counted in backlog_bytes.
+      std::size_t bytes = 0;
+      /// Priced as a small identity hit: advance_conn may try it once on
       /// the loop thread before it queues for a worker.
       bool inline_candidate = false;
       bool shed = false;      ///< rejected at admission; shed_text answers
@@ -108,7 +122,7 @@ struct NetServer::Impl {
       Clock::time_point queue_deadline{};
     };
     std::deque<Item> backlog;
-    std::size_t backlog_bytes = 0;  ///< request text queued, not executing
+    std::size_t backlog_bytes = 0;  ///< Item::bytes queued, not executing
     bool executing = false;
     bool input_closed = false;  ///< peer EOF / framing error / draining
     bool read_hold = false;     ///< paused for pipeline depth or drain
@@ -116,6 +130,7 @@ struct NetServer::Impl {
     std::uint64_t lines_received = 0;  ///< mirrors the session's "line-N"
     double finish_tag = 0.0;    ///< virtual finish time of last admission
     bool executing_scenario = false;
+    bool executing_hit = false;  ///< ...and was priced as a small hit
     double executing_cost = 0.0;
     Clock::time_point exec_start{};
     bool write_pending = false;  ///< measuring done -> socket drained
@@ -318,9 +333,9 @@ struct NetServer::Impl {
 
   /// Read-pause watermarks for the request side, mirroring the response
   /// side's byte bound: the backlog is capped by count AND by bytes
-  /// (half the write-buffer limit), so a client pipelining
-  /// near-max-line-bytes requests cannot buy depth x line-size of server
-  /// memory.
+  /// (half the write-buffer limit; text plus parsed form, which can be
+  /// several times larger), so a client pipelining near-max-line-bytes
+  /// requests cannot buy depth x line-size of server memory.
   [[nodiscard]] bool backlog_over_watermark(const ConnPtr& conn) const {
     return (options.max_pipeline_depth != 0 &&
             conn->backlog.size() >= options.max_pipeline_depth) ||
@@ -397,7 +412,9 @@ struct NetServer::Impl {
         }
       }
     }
-    conn->backlog_bytes += item.line.size();
+    item.bytes = item.line.size() +
+                 (item.request ? service::footprint_bytes(item.parsed) : 0);
+    conn->backlog_bytes += item.bytes;
     conn->backlog.push_back(std::move(item));
   }
 
@@ -439,12 +456,12 @@ struct NetServer::Impl {
 
   /// Answers every head item of `conn` that needs no worker — numbering
   /// ticks for blank/comment lines, deferred framing errors, admission
-  /// sheds, queue-deadline expiries and small memory-resident identity
-  /// hits — until the head is a runnable request (or the backlog
-  /// empties). Only legal while the connection is not executing: inline
-  /// answers would otherwise interleave with the in-flight request's
-  /// response stream.
-  void advance_conn(const ConnPtr& conn) {
+  /// sheds, queue-deadline expiries and, when `answer_hits`, small
+  /// memory-resident identity hits within this dispatch's cell budget —
+  /// until the head is a runnable request (or the backlog empties). Only
+  /// legal while the connection is not executing: inline answers would
+  /// otherwise interleave with the in-flight request's response stream.
+  void advance_conn(const ConnPtr& conn, bool answer_hits) {
     while (!conn->executing && !conn->socket->closed() &&
            !conn->backlog.empty()) {
       Conn::Item& head = conn->backlog.front();
@@ -491,9 +508,15 @@ struct NetServer::Impl {
         }
         continue;
       }
-      if (head.inline_candidate) {
+      if (answer_hits && head.inline_candidate) {
+        if (inline_cells_left == 0) {
+          defer_inline();  // this dispatch's share is spent
+          return;
+        }
         head.inline_candidate = false;  // one try: a miss queues as usual
+        const std::size_t cells = head.parsed.estimate.cells;
         if (answer_inline(conn)) {
+          inline_cells_left -= std::min(inline_cells_left, cells);
           if (!flush_conn(conn)) {
             return;
           }
@@ -502,6 +525,22 @@ struct NetServer::Impl {
       }
       return;  // runnable head: needs a worker slot
     }
+  }
+
+  /// Finishes deferred inline hits from a posted task, so the sockets,
+  /// timers and worker completions already waiting run first.
+  void defer_inline() {
+    if (inline_resume_posted) {
+      return;
+    }
+    inline_resume_posted = true;
+    loop.post([this] {
+      inline_resume_posted = false;
+      dispatch_all();
+      for (const ConnPtr& conn : connection_snapshot()) {
+        maybe_finish(conn);
+      }
+    });
   }
 
   /// Asks the session to serve the head item on this (the loop) thread as
@@ -545,22 +584,28 @@ struct NetServer::Impl {
     }
   }
 
-  void pop_head(const ConnPtr& conn) {
-    conn->backlog_bytes -= conn->backlog.front().line.size();
+  /// Removes and returns the head item, releasing its backlog bytes.
+  Conn::Item pop_head(const ConnPtr& conn) {
+    Conn::Item item = std::move(conn->backlog.front());
     conn->backlog.pop_front();
+    conn->backlog_bytes -= item.bytes;
+    return item;
   }
 
   /// The global dispatch pass: advances every connection's inline items,
   /// then fills free worker slots with the fairest runnable heads —
   /// smallest virtual start tag first, earliest queue deadline breaking
-  /// ties, connection id as the final deterministic tie-break. Re-entrant
-  /// calls (via flush_conn -> pump) fold into the outer pass.
+  /// ties, connection id as the final deterministic tie-break. Identity
+  /// hits answer inline only when the workers could not take them in
+  /// parallel (see kMaxInlineCells), within kInlineCellBudget per call.
+  /// Re-entrant calls (via flush_conn -> pump) fold into the outer pass.
   void dispatch_all() {
     if (in_dispatch) {
       dispatch_again = true;
       return;
     }
     in_dispatch = true;
+    inline_cells_left = kInlineCellBudget;
     do {
       dispatch_again = false;
       dispatch_pass();
@@ -572,17 +617,17 @@ struct NetServer::Impl {
     for (;;) {
       // Snapshot: advance_conn can close connections (flush failures),
       // which mutates `connections` mid-iteration.
-      std::vector<ConnPtr> snapshot;
-      snapshot.reserve(connections.size());
-      for (const auto& [id, conn] : connections) {
-        snapshot.push_back(conn);
-      }
+      const std::vector<ConnPtr> snapshot = connection_snapshot();
+      const bool answer_hits =
+          worker_count == 1 ||
+          std::count_if(snapshot.begin(), snapshot.end(), has_hit_work) <= 1;
       ConnPtr best;
       for (const ConnPtr& conn : snapshot) {
-        advance_conn(conn);
+        advance_conn(conn, answer_hits);
         if (conn->executing || conn->socket->closed() ||
-            conn->backlog.empty()) {
-          continue;
+            conn->backlog.empty() ||
+            (answer_hits && conn->backlog.front().inline_candidate)) {
+          continue;  // (a deferred hit waits for the loop, not a worker)
         }
         if (best == nullptr || head_before(conn, best)) {
           best = conn;
@@ -593,6 +638,13 @@ struct NetServer::Impl {
       }
       start_item(best);
     }
+  }
+
+  /// True while `conn` has a small identity hit to render: executing one
+  /// on a worker, or holding one at the head of its backlog.
+  [[nodiscard]] static bool has_hit_work(const ConnPtr& conn) {
+    return (conn->executing && conn->executing_hit) ||
+           (!conn->backlog.empty() && conn->backlog.front().inline_candidate);
   }
 
   [[nodiscard]] static bool head_before(const ConnPtr& a, const ConnPtr& b) {
@@ -611,8 +663,7 @@ struct NetServer::Impl {
   }
 
   void start_item(const ConnPtr& conn) {
-    Conn::Item item = std::move(conn->backlog.front());
-    pop_head(conn);
+    Conn::Item item = pop_head(conn);
     const auto now = Clock::now();
     virtual_time = std::max(virtual_time, item.start_tag);
     if (item.parsed.scenario) {
@@ -627,6 +678,7 @@ struct NetServer::Impl {
     }
     conn->executing = true;
     conn->executing_scenario = item.parsed.scenario;
+    conn->executing_hit = item.inline_candidate;
     conn->executing_cost = item.cost;
     conn->exec_start = now;
     ++active_requests;
@@ -837,6 +889,17 @@ struct NetServer::Impl {
   /// Orderly close once a connection has nothing left to do: input has
   /// ended (EOF, framing error or drain), no request is executing or
   /// queued, and every response byte reached the socket.
+  /// The open connections, for loops whose body may close one (which
+  /// mutates `connections`).
+  [[nodiscard]] std::vector<ConnPtr> connection_snapshot() const {
+    std::vector<ConnPtr> snapshot;
+    snapshot.reserve(connections.size());
+    for (const auto& [id, conn] : connections) {
+      snapshot.push_back(conn);
+    }
+    return snapshot;
+  }
+
   void maybe_finish(const ConnPtr& conn) {
     if ((conn->input_closed || draining) && !conn->executing &&
         conn->backlog.empty() && !conn->socket->closed() &&
@@ -854,11 +917,7 @@ struct NetServer::Impl {
     draining = true;
     loop.remove_fd(listener.fd());
     listener.close();
-    std::vector<ConnPtr> snapshot;
-    snapshot.reserve(connections.size());
-    for (const auto& [id, conn] : connections) {
-      snapshot.push_back(conn);
-    }
+    const std::vector<ConnPtr> snapshot = connection_snapshot();
     for (const ConnPtr& conn : snapshot) {
       conn->input_closed = true;  // already-received requests still run
       conn->socket->set_read_hold(true);
@@ -894,11 +953,7 @@ struct NetServer::Impl {
                    "net: drain deadline (%d ms) reached with %zu connection(s) "
                    "busy; force-closing\n",
                    options.drain_timeout_ms, connections.size());
-      std::vector<ConnPtr> snapshot;
-      for (const auto& [id, conn] : connections) {
-        snapshot.push_back(conn);
-      }
-      for (const ConnPtr& conn : snapshot) {
+      for (const ConnPtr& conn : connection_snapshot()) {
         close_conn(conn);
       }
       loop.stop();
@@ -949,6 +1004,8 @@ struct NetServer::Impl {
   double virtual_time = 0.0;
   bool in_dispatch = false;
   bool dispatch_again = false;
+  std::size_t inline_cells_left = 0;  ///< this dispatch's inline budget
+  bool inline_resume_posted = false;  ///< defer_inline's task is queued
   Fd sched_timer;
   bool sched_timer_armed = false;
   Clock::time_point sched_timer_deadline{};

@@ -111,6 +111,26 @@ ParsedLine parse_request(const util::JsonValue& json,
   return parsed;
 }
 
+std::size_t footprint_bytes(const ParsedLine& parsed) {
+  std::size_t bytes = sizeof(ParsedLine);
+  if (!parsed.scenario) {
+    return bytes;
+  }
+  const ScenarioRequest& request = parsed.request;
+  const core::ScenarioGrid& grid = request.grid;
+  const auto heap = [](const auto& vector) {
+    return vector.capacity() * sizeof(vector[0]);
+  };
+  bytes += request.id.capacity() + heap(grid.platforms) +
+           heap(grid.node_counts) + heap(grid.rate_factors) +
+           heap(grid.cost_overrides) + heap(grid.kinds) +
+           heap(request.sim.weibull_shape) + heap(request.sim.faulty_ops);
+  for (const core::Platform& platform : grid.platforms) {
+    bytes += platform.name.capacity();
+  }
+  return bytes;
+}
+
 LineCost estimate_line_cost(std::string_view line, const SweepService* service,
                             int default_deadline_ms) {
   try {

@@ -67,7 +67,8 @@ std::optional<SubmitResult> SweepService::submit_resident(
     return same_grid(table, points, kinds);
   };
   auto outcome = pipeline_.replay_resident(
-      signature, [&] { return cache_.find_resident(signature, matches); },
+      signature,
+      [&] { return cache_.tables().find_resident(signature, matches); },
       [&](const core::SweepTable& table) {
         if (sink != nullptr) {
           replay_cells(table, cancel, [sink](const core::SweepCell& cell) {

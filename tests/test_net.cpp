@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -571,7 +572,7 @@ TEST(NetServer, DefaultDeadlineAppliesWhenRequestCarriesNone) {
 
 // ------------------------------------------------ inline identity hits --
 //
-// A memory-resident identity hit of at most 64 cells is answered on the
+// A memory-resident identity hit of at most 24 cells is answered on the
 // event-loop thread itself; everything else — misses, disk-resident hits,
 // hits evicted between admission and execution, big hits — still goes to
 // a worker. Either way the bytes are the stdin path's.
@@ -736,7 +737,7 @@ TEST(NetServerInline, DiskResidentHitIsServedByAWorker) {
 }
 
 TEST(NetServerInline, HitAboveTheCellBoundIsServedByAWorker) {
-  // 3 platforms x 4 node counts x 6 kinds = 72 cells > 64; first-order
+  // 3 platforms x 4 node counts x 6 kinds = 72 cells > 24; first-order
   // only, so the cold warm-up stays cheap.
   const std::string big =
       "{\"id\": \"big\", \"platforms\": [\"hera\", \"atlas\", \"coastal\"], "
@@ -759,6 +760,164 @@ TEST(NetServerInline, HitAboveTheCellBoundIsServedByAWorker) {
   EXPECT_NE(warm[0].back().find("\"cache_hit\":true"), std::string::npos);
   // Only the one-cell hit was answered on the loop thread.
   EXPECT_EQ(daemon->overload_stats().answered_inline, 1u);
+}
+
+TEST(NetServerInline, DeepPipelineOfHitsDoesNotHoldUpOtherConnections) {
+  // 1 platform x 4 node counts x 6 kinds = 24 cells, the largest inline
+  // hit. The loop thread answers such hits in budgeted slices and reads
+  // other sockets in between, so a ping from another connection is
+  // answered long before the flood is.
+  const std::string grid =
+      "\"platforms\": [\"hera\"], \"node_counts\": [256, 512, 1024, 2048], "
+      "\"numeric_optimum\": false}";
+  TestDaemon daemon;
+  rn::Client flood;
+  flood.connect("127.0.0.1", daemon.port());
+  flood.set_receive_timeout(60000);
+  ASSERT_TRUE(flood.transact("{\"id\": \"warm\", " + grid).complete);
+
+  constexpr std::uint64_t kHits = 256;
+  std::string burst;
+  for (std::uint64_t i = 0; i < kHits; ++i) {
+    burst += "{\"id\": \"hit-" + std::to_string(i) + "\", " + grid + "\n";
+  }
+  flood.send_raw(burst);
+  // The loop thread is serving the flood once its first answer is out.
+  ASSERT_TRUE(flood.read_response().complete);
+
+  rn::Client other;
+  other.connect("127.0.0.1", daemon.port());
+  other.set_receive_timeout(60000);
+  const Lines pong =
+      complete_lines(other.transact("{\"type\": \"ping\", \"id\": \"p\"}"));
+  const std::uint64_t inline_at_pong =
+      daemon->overload_stats().answered_inline;
+  EXPECT_EQ(pong, Lines{"{\"type\":\"pong\",\"request\":\"p\"}"});
+  EXPECT_LT(inline_at_pong, kHits);
+
+  for (std::uint64_t i = 1; i < kHits; ++i) {
+    const rn::Client::Response response = flood.read_response();
+    ASSERT_TRUE(response.complete) << "response " << i;
+    EXPECT_NE(response.lines.back().find("\"request\":\"hit-" +
+                                         std::to_string(i) + "\""),
+              std::string::npos);
+  }
+  EXPECT_EQ(daemon->stats().requests_started, kHits + 2);
+}
+
+/// Sends a resident hit while another connection keeps a worker busy
+/// with a cold grid of thousands of numerically optimized cells — with
+/// or without a resident hit of its own pipelined behind it — and
+/// returns how many requests the loop thread had answered itself when
+/// the hit's answer arrived.
+std::uint64_t inline_answers_beside_a_busy_connection(
+    std::size_t request_workers, bool busy_has_a_hit_queued) {
+  const std::string hit = one_cell_request("hit", "hera", 512);
+  rn::NetServerOptions options;
+  options.request_workers = request_workers;
+  TestDaemon daemon(std::move(options));
+  rn::Client busy;
+  busy.connect("127.0.0.1", daemon.port());
+  busy.set_receive_timeout(60000);
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(60000);
+  EXPECT_TRUE(client.transact(hit).complete);
+
+  const std::uint64_t busy_lines = busy_has_a_hit_queued ? 2 : 1;
+  busy.send_raw(doomed_request("cold", 0) + "\n" +
+                (busy_has_a_hit_queued
+                     ? one_cell_request("queued", "hera", 512) + "\n"
+                     : ""));
+  for (int i = 0;
+       i < 5000 && daemon->overload_stats().admitted < 1 + busy_lines; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  client.send_line(hit);
+  const Lines answer = complete_lines(client.read_response());
+  const std::uint64_t answered_inline =
+      daemon->overload_stats().answered_inline;
+  EXPECT_FALSE(answer.empty());
+  if (!answer.empty()) {
+    EXPECT_NE(answer.back().find("\"cache_hit\":true"), std::string::npos);
+  }
+  for (std::uint64_t i = 0; i < busy_lines; ++i) {
+    EXPECT_TRUE(busy.read_response().complete);
+  }
+  return answered_inline;
+}
+
+TEST(NetServerInline, HitsGoToWorkersWhenTwoConnectionsHaveHitsToRender) {
+  // The other connection only computes: the loop thread answers the hit.
+  EXPECT_EQ(inline_answers_beside_a_busy_connection(2, false), 1u);
+  // It has a hit of its own waiting, and two workers could render both
+  // in parallel: the hit runs on the free worker.
+  EXPECT_EQ(inline_answers_beside_a_busy_connection(2, true), 0u);
+  // One worker, held by the cold grid: the loop thread answers the hit.
+  EXPECT_EQ(inline_answers_beside_a_busy_connection(1, true), 1u);
+}
+
+/// Answers every line with a pong, but only once `gate` opens.
+class GatedSession final : public rs::LineSession {
+ public:
+  GatedSession(LineFn emit, std::shared_future<void> gate)
+      : emit_(std::move(emit)), gate_(std::move(gate)) {}
+
+  void handle_line(std::string_view) override {
+    gate_.wait();
+    emit_("{\"type\":\"pong\"}", true);
+  }
+
+ private:
+  LineFn emit_;
+  std::shared_future<void> gate_;
+};
+
+TEST(NetServer, ParsedRequestsCountTowardTheBacklogByteWatermark) {
+  // Each line names 200 platforms: about 1.5 KB of text, but about 19 KB
+  // once parsed. Reading must pause when the parsed backlog reaches half
+  // the write-buffer limit (32 KB), i.e. within the first 16 KB read —
+  // counting text alone admits about 29 lines before pausing — and
+  // resume once it drains, for every line (a worker-run item must give
+  // back all the bytes it was charged, or reading never resumes).
+  std::promise<void> open;
+  const std::shared_future<void> gate = open.get_future().share();
+  rn::NetServerOptions options;
+  options.write_buffer_limit = 64 * 1024;
+  options.request_workers = 1;
+  options.session_factory = [gate](rs::LineSession::LineFn emit,
+                                   std::shared_ptr<std::atomic<bool>>) {
+    return std::make_unique<GatedSession>(std::move(emit), gate);
+  };
+  TestDaemon daemon(std::move(options));
+  std::string platforms;
+  for (int i = 0; i < 200; ++i) {
+    platforms += i == 0 ? "\"hera\"" : ", \"hera\"";
+  }
+  constexpr int kLines = 40;
+  std::string burst;
+  for (int i = 0; i < kLines; ++i) {
+    burst += "{\"id\": \"w" + std::to_string(i) + "\", \"platforms\": [" +
+             platforms + "], \"node_counts\": [512], \"kinds\": [\"PD\"]}\n";
+  }
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(30000);
+  client.send_raw(burst);
+  for (int i = 0; i < 5000 && daemon->overload_stats().admitted < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const std::uint64_t admitted_while_blocked =
+      daemon->overload_stats().admitted;
+  open.set_value();  // before any check, so the daemon can drain
+  EXPECT_GE(admitted_while_blocked, 2u);
+  EXPECT_LE(admitted_while_blocked, 16u);
+  for (int i = 0; i < kLines; ++i) {
+    ASSERT_TRUE(client.read_response().complete) << "response " << i;
+  }
+  EXPECT_EQ(daemon->overload_stats().admitted,
+            static_cast<std::uint64_t>(kLines));
 }
 
 /// A deliberately misbehaving server for client-robustness tests: accepts
