@@ -26,6 +26,10 @@
 
 #include <thread>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "bench_common.hpp"
 #include "resilience/core/expected_time.hpp"
 #include "resilience/core/first_order.hpp"
@@ -1129,6 +1133,145 @@ SimBenchResult run_sim_bench() {
   return result;
 }
 
+// ------------------------------------------------ serialize throughput --
+
+/// Median/min/max of one timing over the reps.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+std::string spread_json(const Spread& spread) {
+  return "{\"median\": " + ru::format_json_number(spread.median) +
+         ", \"min\": " + ru::format_json_number(spread.min) +
+         ", \"max\": " + ru::format_json_number(spread.max) + "}";
+}
+
+Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  Spread spread;
+  if (!samples.empty()) {
+    spread.median = samples[samples.size() / 2];
+    spread.min = samples.front();
+    spread.max = samples.back();
+  }
+  return spread;
+}
+
+/// Cost of rendering response lines: ns per cell_line, sim_cell_line and
+/// done_line over the 96-cell catalog table, with one simulate cell
+/// derived from each analytic cell. Report only — no wall-clock gate.
+struct SerializeBenchResult {
+  std::size_t cells = 0;
+  int reps = 0;
+  // Mean line lengths, from the timed renders.
+  double cell_line_bytes = 0.0;
+  double sim_cell_line_bytes = 0.0;
+  double done_line_bytes = 0.0;
+  Spread cell_line_ns;
+  Spread sim_cell_line_ns;
+  Spread done_line_ns;
+};
+
+SerializeBenchResult run_serialize_bench() {
+  namespace rv = resilience::service;
+  constexpr int kReps = 7;
+  constexpr int kPasses = 40;  // lines per rep: kPasses x cells
+  const rc::SweepTable table =
+      rc::SweepRunner().run(resilience::bench::catalog_grid());
+  std::vector<rv::SimCell> sim_cells;
+  for (const rc::SweepCell& cell : table.cells) {
+    rv::SimCell sim_cell;
+    sim_cell.point_index = cell.point_index;
+    sim_cell.kind = cell.kind;
+    sim_cell.mean = cell.overhead;
+    sim_cell.ci_low = cell.overhead * 0.99;
+    sim_cell.ci_high = cell.overhead * 1.01;
+    sim_cell.runs = 96;
+    sim_cell.early_stopped = cell.warm_started;
+    sim_cells.push_back(sim_cell);
+  }
+  const std::string id = "bench-serialize";
+  const rc::GridSignature signature{0x9ae16a3b2f90404fULL};
+
+  SerializeBenchResult result;
+  result.cells = table.cells.size();
+  result.reps = kReps;
+  std::size_t cell_bytes = 0;
+  std::size_t sim_bytes = 0;
+  std::size_t done_bytes = 0;
+  const std::size_t lines_per_rep = kPasses * table.cells.size();
+  const auto ns_per = [](std::chrono::steady_clock::time_point start,
+                         std::size_t count) {
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    return elapsed.count() / static_cast<double>(count);
+  };
+  std::vector<double> cell_ns, sim_ns, done_ns;
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    for (int pass = 0; pass < kPasses; ++pass) {
+      for (const rc::SweepCell& cell : table.cells) {
+        cell_bytes += rv::cell_line(id, signature, cell).size();
+      }
+    }
+    cell_ns.push_back(ns_per(start, lines_per_rep));
+
+    start = std::chrono::steady_clock::now();
+    for (int pass = 0; pass < kPasses; ++pass) {
+      for (const rv::SimCell& cell : sim_cells) {
+        sim_bytes += rv::sim_cell_line(id, signature, cell).size();
+      }
+    }
+    sim_ns.push_back(ns_per(start, lines_per_rep));
+
+    start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < lines_per_rep; ++i) {
+      done_bytes += rv::done_line(id, signature, table, true, false).size();
+    }
+    done_ns.push_back(ns_per(start, lines_per_rep));
+  }
+  const auto mean_bytes = [&](std::size_t bytes) {
+    return static_cast<double>(bytes) /
+           static_cast<double>(kReps * lines_per_rep);
+  };
+  result.cell_line_bytes = mean_bytes(cell_bytes);
+  result.sim_cell_line_bytes = mean_bytes(sim_bytes);
+  result.done_line_bytes = mean_bytes(done_bytes);
+  result.cell_line_ns = spread_of(cell_ns);
+  result.sim_cell_line_ns = spread_of(sim_ns);
+  result.done_line_ns = spread_of(done_ns);
+  return result;
+}
+
+/// Processing units this process may run on (what `nproc` prints).
+unsigned available_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
+
+/// The CPU model name ("model name" of /proc/cpuinfo), or "unknown".
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) {
+        const std::size_t start = line.find_first_not_of(" \t", colon + 1);
+        return start == std::string::npos ? "unknown" : line.substr(start);
+      }
+    }
+  }
+  return "unknown";
+}
+
 int run_json_mode(std::uint64_t patterns, const std::string& out_path) {
   std::vector<FamilyResult> families;
   for (const auto kind : rc::all_pattern_kinds()) {
@@ -1244,6 +1387,16 @@ int run_json_mode(std::uint64_t patterns, const std::string& out_path) {
       sim.pool_identical ? "byte-identical" : "DIVERGE",
       sim.replay_identical ? "bit-identical" : "DIVERGES");
 
+  const SerializeBenchResult serialize = run_serialize_bench();
+  std::printf(
+      "serialize ns/line median (min-max): cell %6.0f (%.0f-%.0f)   sim cell "
+      "%6.0f (%.0f-%.0f)   done %6.0f (%.0f-%.0f)   %.0f B/cell line\n",
+      serialize.cell_line_ns.median, serialize.cell_line_ns.min,
+      serialize.cell_line_ns.max, serialize.sim_cell_line_ns.median,
+      serialize.sim_cell_line_ns.min, serialize.sim_cell_line_ns.max,
+      serialize.done_line_ns.median, serialize.done_line_ns.min,
+      serialize.done_line_ns.max, serialize.cell_line_bytes);
+
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "bench_micro: cannot write %s\n", out_path.c_str());
@@ -1253,6 +1406,8 @@ int run_json_mode(std::uint64_t patterns, const std::string& out_path) {
       << "  \"bench\": \"bench_micro\",\n"
       << "  \"seed\": " << kJsonSeed << ",\n"
       << "  \"patterns\": " << patterns << ",\n"
+      << "  \"machine\": {\"nproc\": " << available_cpus()
+      << ", \"cpu_model\": " << ru::json_quote(cpu_model()) << "},\n"
       << "  \"geomean_speedup\": " << geomean_speedup << ",\n"
       << "  \"sweep\": {\n"
       << "    \"grid\": \"4 platforms x {256,1024,4096,16384} nodes x 6 "
@@ -1369,6 +1524,22 @@ int run_json_mode(std::uint64_t patterns, const std::string& out_path) {
       << (sim.pool_identical ? "true" : "false") << ",\n"
       << "    \"replay_identical\": "
       << (sim.replay_identical ? "true" : "false") << "\n"
+      << "  },\n"
+      << "  \"serialize\": {\n"
+      << "    \"workload\": \"response lines for the 96-cell catalog table "
+         "(one simulate cell per analytic cell), ns per line over "
+      << serialize.reps << " reps\",\n"
+      << "    \"cells\": " << serialize.cells << ",\n"
+      << "    \"cell_line_bytes\": " << serialize.cell_line_bytes << ",\n"
+      << "    \"sim_cell_line_bytes\": " << serialize.sim_cell_line_bytes
+      << ",\n"
+      << "    \"done_line_bytes\": " << serialize.done_line_bytes << ",\n"
+      << "    \"cell_line_ns\": " << spread_json(serialize.cell_line_ns)
+      << ",\n"
+      << "    \"sim_cell_line_ns\": "
+      << spread_json(serialize.sim_cell_line_ns) << ",\n"
+      << "    \"done_line_ns\": " << spread_json(serialize.done_line_ns)
+      << "\n"
       << "  },\n"
       << "  \"families\": [\n";
   for (std::size_t i = 0; i < families.size(); ++i) {

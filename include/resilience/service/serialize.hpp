@@ -7,9 +7,18 @@
 // byte-identical values: doubles use the canonical shortest-round-trip
 // form of util/json, and serialize -> parse -> re-serialize is
 // byte-identical (pinned by test_service).
+//
+// Two renderings share each cell type's key list (one write_fields() per
+// type in serialize.cpp):
+//   * to_json() builds a util::JsonValue tree — tables, spills, tests;
+//   * the *_line() response renderers append straight into one reserved
+//     std::string, with no JsonValue built per line or cell. Numbers and
+//     strings go through util::append_json_number/append_json_quote, the
+//     same formatter and quoter JsonValue::dump() uses, so a line's bytes
+//     equal the dump of the equivalent tree (test_service pins both the
+//     literal bytes and a seeded equivalence against a tree reference).
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 #include "resilience/core/sweep.hpp"
@@ -118,23 +127,5 @@ struct SimTable;
 [[nodiscard]] std::string overloaded_line(const std::string& request_id,
                                           std::int64_t retry_after_ms);
 [[nodiscard]] std::string pong_line(const std::string& request_id);
-
-/// CellSink writing one cell_line per cell to an ostream. The runner
-/// serializes sink calls, so this needs no locking of its own.
-class JsonlCellSink final : public core::CellSink {
- public:
-  JsonlCellSink(std::ostream& os, std::string request_id,
-                core::GridSignature signature);
-
-  void on_cell(const core::SweepCell& cell) override;
-
-  [[nodiscard]] std::size_t cells_written() const noexcept { return cells_; }
-
- private:
-  std::ostream& os_;
-  std::string request_id_;
-  core::GridSignature signature_;
-  std::size_t cells_ = 0;
-};
 
 }  // namespace resilience::service

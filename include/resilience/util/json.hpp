@@ -104,13 +104,19 @@ class JsonValue {
   Object object_;
 };
 
-/// Shortest decimal representation of `value` that strtod()s back to the
-/// same bits ("3", "0.1", "1.25e-07"); Infinity/-Infinity/NaN for
-/// non-finite values. This is the one double formatter every serializer
-/// in the project uses — byte-identical round trips depend on it.
+/// Appends the shortest decimal representation of `value` that strtod()s
+/// back to the same bits ("3", "0.1", "1.25e-07"); Infinity/-Infinity/NaN
+/// for non-finite values. This is the one double formatter every
+/// serializer in the project uses — byte-identical round trips depend on
+/// it. format_json_number() is the same text as a new string.
+void append_json_number(std::string& out, double value);
 [[nodiscard]] std::string format_json_number(double value);
 
-/// Escaped, quoted JSON string literal for `text`.
+/// Appends the escaped, quoted JSON string literal for `text`: '"', '\'
+/// and the short escapes \b \f \n \r \t, other bytes below 0x20 as
+/// \u00XX, everything else (UTF-8 included) verbatim. json_quote() is
+/// the same text as a new string.
+void append_json_quote(std::string& out, std::string_view text);
 [[nodiscard]] std::string json_quote(std::string_view text);
 
 }  // namespace resilience::util

@@ -223,12 +223,12 @@ bool JsonlSession::serve_parsed(ParsedLine& parsed, bool resident_only) {
       if (!result) {
         return false;
       }
-      const util::JsonValue stats = request.include_stats
-                                        ? stats_block(service_.stats(), cost)
-                                        : util::JsonValue{};
+      std::optional<util::JsonValue> stats;
+      if (request.include_stats) {
+        stats = stats_block(service_.stats(), cost);
+      }
       emit(sim_done_line(request.id, result->signature, *result->table,
-                         result->cache_hit,
-                         request.include_stats ? &stats : nullptr),
+                         result->cache_hit, stats ? &*stats : nullptr),
            true);
       return true;
     }
@@ -252,12 +252,15 @@ bool JsonlSession::serve_parsed(ParsedLine& parsed, bool resident_only) {
     if (!result) {
       return false;
     }
-    const util::JsonValue stats = request.include_stats
-                                      ? stats_block(service_.stats(), cost)
-                                      : util::JsonValue{};
+    // No JsonValue on the plain done path: the block exists only when
+    // the request asked for it.
+    std::optional<util::JsonValue> stats;
+    if (request.include_stats) {
+      stats = stats_block(service_.stats(), cost);
+    }
     emit(done_line(request.id, result->signature, *result->table,
                    result->cache_hit, result->joined_in_flight,
-                   request.include_stats ? &stats : nullptr),
+                   stats ? &*stats : nullptr),
          true);
     if (outcome_) {
       outcome_(Outcome{std::move(request), *result, std::move(sink.cells())});

@@ -1,8 +1,9 @@
 #include "resilience/service/serialize.hpp"
 
 #include <cmath>
-#include <ostream>
+#include <concepts>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "resilience/service/cost_model.hpp"
@@ -65,30 +66,179 @@ JsonValue array_json(const Items& items) {
   return out;
 }
 
+/// Appends one JSON object straight into a string: how every response
+/// line is rendered, with no JsonValue tree in between. Keys are this
+/// file's fixed identifiers and go out unescaped; values go through
+/// util's one number formatter and one quoter, so the bytes are the ones
+/// JsonValue::dump() writes for the same members (integers as doubles,
+/// Infinity/NaN tokens). close() appends the closing brace.
+class LineWriter {
+ public:
+  explicit LineWriter(std::string& out) : out_(out) { out_ += '{'; }
+
+  void field(std::string_view key, double value) {
+    begin(key);
+    util::append_json_number(out_, value);
+  }
+  template <std::integral T>
+  void field(std::string_view key, T value) {
+    field(key, static_cast<double>(value));
+  }
+  void field(std::string_view key, bool value) {
+    begin(key);
+    out_ += value ? "true" : "false";
+  }
+  void field(std::string_view key, std::string_view value) {
+    begin(key);
+    util::append_json_quote(out_, value);
+  }
+  void field(std::string_view key, const char* value) {
+    field(key, std::string_view(value));
+  }
+  void field(std::string_view key, const std::string& value) {
+    field(key, std::string_view(value));
+  }
+  /// The 16 lowercase hex digits of GridSignature::hex(), quoted.
+  void field(std::string_view key, core::GridSignature signature) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    begin(key);
+    char text[18];
+    text[0] = '"';
+    text[17] = '"';
+    std::uint64_t value = signature.value;
+    for (int i = 16; i > 0; --i, value >>= 4) {
+      text[i] = kHex[value & 0xF];
+    }
+    out_.append(text, sizeof text);
+  }
+  /// Family names in table order, as an array of strings.
+  void field(std::string_view key, const std::vector<core::PatternKind>& kinds) {
+    begin(key);
+    out_ += '[';
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      if (i > 0) {
+        out_ += ',';
+      }
+      util::append_json_quote(out_, core::pattern_name(kinds[i]));
+    }
+    out_ += ']';
+  }
+  /// An already-built block (an opt-in stats block), embedded verbatim.
+  void field(std::string_view key, const JsonValue& value) {
+    begin(key);
+    value.dump_to(out_);
+  }
+  /// A nested object whose members `fill(LineWriter&)` writes.
+  template <class Fill>
+  void object(std::string_view key, Fill&& fill) {
+    begin(key);
+    LineWriter inner(out_);
+    fill(inner);
+    inner.close();
+  }
+  void close() { out_ += '}'; }
+
+ private:
+  void begin(std::string_view key) {
+    if (!first_) {
+      out_ += ',';
+    }
+    first_ = false;
+    out_ += '"';
+    out_ += key;
+    out_ += "\":";
+  }
+
+  std::string& out_;
+  bool first_ = true;
+};
+
+/// The same member calls building a JsonValue object instead: how
+/// to_json() of a cell shares its key list with the line renderers.
+class TreeWriter {
+ public:
+  explicit TreeWriter(JsonValue& object) : object_(object) {}
+
+  template <class T>
+  void field(std::string_view key, const T& value) {
+    object_.set(std::string(key), JsonValue(value));
+  }
+  template <class Fill>
+  void object(std::string_view key, Fill&& fill) {
+    JsonValue inner = JsonValue::object();
+    TreeWriter writer(inner);
+    fill(writer);
+    object_.set(std::string(key), std::move(inner));
+  }
+
+ private:
+  JsonValue& object_;
+};
+
+/// The members of a SweepCell, in wire order: the one key list behind
+/// cell_line() and to_json(SweepCell). The family is written once, as
+/// the paper's name; the nested first_order block omits it.
+template <class Writer>
+void write_fields(Writer& out, const core::SweepCell& cell) {
+  out.field("point", cell.point_index);
+  out.field("kind", core::pattern_name(cell.kind));
+  out.object("first_order", [&](Writer& first_order) {
+    const core::FirstOrderSolution& solution = cell.first_order;
+    first_order.field("segments_n", solution.segments_n);
+    first_order.field("chunks_m", solution.chunks_m);
+    first_order.field("rational_n", solution.rational_n);
+    first_order.field("rational_m", solution.rational_m);
+    first_order.field("work", solution.work);
+    first_order.field("overhead", solution.overhead);
+    first_order.field("error_free", solution.coefficients.error_free);
+    first_order.field("reexecuted_work",
+                      solution.coefficients.reexecuted_work);
+  });
+  out.field("exact_at_first_order", cell.exact_at_first_order);
+  out.field("segments_n", cell.segments_n);
+  out.field("chunks_m", cell.chunks_m);
+  out.field("work", cell.work);
+  out.field("overhead", cell.overhead);
+  out.field("warm_started", cell.warm_started);
+}
+
+/// The members of a SimCell, in wire order: the one key list behind
+/// sim_cell_line() and to_json(SimCell).
+template <class Writer>
+void write_fields(Writer& out, const SimCell& cell) {
+  out.field("point", cell.point_index);
+  out.field("kind", core::pattern_name(cell.kind));
+  out.field("weibull_shape", cell.weibull_shape);
+  out.field("faulty_ops", cell.faulty_ops);
+  out.field("mean", cell.mean);
+  out.field("ci_low", cell.ci_low);
+  out.field("ci_high", cell.ci_high);
+  out.field("runs", cell.runs);
+  out.field("early_stopped", cell.early_stopped);
+}
+
+/// Reserved capacity of a rendered line before its request id: a little
+/// above the typical length, so one allocation covers the whole line.
+constexpr std::size_t kCellLineBytes = 512;
+constexpr std::size_t kSimCellLineBytes = 256;
+constexpr std::size_t kSummaryLineBytes = 256;
+
+/// Opens a response line: {"type":<type>,"request":<id>
+LineWriter open_line(std::string& out, std::size_t reserve, const char* type,
+                     std::string_view request_id) {
+  out.reserve(reserve + request_id.size());
+  LineWriter line(out);
+  line.field("type", type);
+  line.field("request", request_id);
+  return line;
+}
+
 }  // namespace
 
 JsonValue to_json(const core::SweepCell& cell) {
-  JsonValue first_order = JsonValue::object();
-  first_order.set("segments_n", cell.first_order.segments_n);
-  first_order.set("chunks_m", cell.first_order.chunks_m);
-  first_order.set("rational_n", cell.first_order.rational_n);
-  first_order.set("rational_m", cell.first_order.rational_m);
-  first_order.set("work", cell.first_order.work);
-  first_order.set("overhead", cell.first_order.overhead);
-  first_order.set("error_free", cell.first_order.coefficients.error_free);
-  first_order.set("reexecuted_work",
-                  cell.first_order.coefficients.reexecuted_work);
-
   JsonValue out = JsonValue::object();
-  out.set("point", cell.point_index);
-  out.set("kind", core::pattern_name(cell.kind));
-  out.set("first_order", std::move(first_order));
-  out.set("exact_at_first_order", cell.exact_at_first_order);
-  out.set("segments_n", cell.segments_n);
-  out.set("chunks_m", cell.chunks_m);
-  out.set("work", cell.work);
-  out.set("overhead", cell.overhead);
-  out.set("warm_started", cell.warm_started);
+  TreeWriter writer(out);
+  write_fields(writer, cell);
   return out;
 }
 
@@ -243,28 +393,18 @@ core::SweepTable table_from_json(const JsonValue& json) {
 std::string cell_line(const std::string& request_id,
                       core::GridSignature signature,
                       const core::SweepCell& cell) {
-  JsonValue line = JsonValue::object();
-  line.set("type", "cell");
-  line.set("request", request_id);
-  line.set("signature", signature.hex());
-  const JsonValue cell_json = to_json(cell);
-  for (const auto& [key, value] : cell_json.as_object()) {
-    line.set(key, value);
-  }
-  return line.dump();
+  std::string out;
+  LineWriter line = open_line(out, kCellLineBytes, "cell", request_id);
+  line.field("signature", signature);
+  write_fields(line, cell);
+  line.close();
+  return out;
 }
 
 JsonValue to_json(const SimCell& cell) {
   JsonValue out = JsonValue::object();
-  out.set("point", cell.point_index);
-  out.set("kind", core::pattern_name(cell.kind));
-  out.set("weibull_shape", cell.weibull_shape);
-  out.set("faulty_ops", cell.faulty_ops);
-  out.set("mean", cell.mean);
-  out.set("ci_low", cell.ci_low);
-  out.set("ci_high", cell.ci_high);
-  out.set("runs", cell.runs);
-  out.set("early_stopped", cell.early_stopped);
+  TreeWriter writer(out);
+  write_fields(writer, cell);
   return out;
 }
 
@@ -411,17 +551,17 @@ JsonValue to_json(const CostEstimate& estimate) {
 
 std::string stats_line(const std::string& request_id, const ServiceStats& stats,
                        const util::JsonValue* transport) {
-  JsonValue line = JsonValue::object();
-  line.set("type", "stats");
-  line.set("request", request_id);
+  std::string out;
+  LineWriter line = open_line(out, kSummaryLineBytes, "stats", request_id);
   const JsonValue blocks = to_json(stats);
   for (const auto& [key, value] : blocks.as_object()) {
-    line.set(key, value);
+    line.field(key, value);
   }
   if (transport != nullptr) {
-    line.set("transport", *transport);
+    line.field("transport", *transport);
   }
-  return line.dump();
+  line.close();
+  return out;
 }
 
 JsonValue stats_block(const ServiceStats& stats, const CostEstimate& cost) {
@@ -436,32 +576,29 @@ std::string done_line(const std::string& request_id,
                       core::GridSignature signature,
                       const core::SweepTable& table, bool cache_hit,
                       bool joined_in_flight, const util::JsonValue* stats) {
-  JsonValue line = JsonValue::object();
-  line.set("type", "done");
-  line.set("request", request_id);
-  line.set("signature", signature.hex());
-  line.set("points", table.points.size());
-  line.set("kinds", kinds_json(table.kinds));
-  line.set("cells", table.cells.size());
-  line.set("cache_hit", cache_hit);
-  line.set("joined_in_flight", joined_in_flight);
+  std::string out;
+  LineWriter line = open_line(out, kSummaryLineBytes, "done", request_id);
+  line.field("signature", signature);
+  line.field("points", table.points.size());
+  line.field("kinds", table.kinds);
+  line.field("cells", table.cells.size());
+  line.field("cache_hit", cache_hit);
+  line.field("joined_in_flight", joined_in_flight);
   if (stats != nullptr) {
-    line.set("stats", *stats);
+    line.field("stats", *stats);
   }
-  return line.dump();
+  line.close();
+  return out;
 }
 
 std::string sim_cell_line(const std::string& request_id,
                           core::GridSignature signature, const SimCell& cell) {
-  JsonValue line = JsonValue::object();
-  line.set("type", "cell");
-  line.set("request", request_id);
-  line.set("signature", signature.hex());
-  const JsonValue cell_json = to_json(cell);
-  for (const auto& [key, value] : cell_json.as_object()) {
-    line.set(key, value);
-  }
-  return line.dump();
+  std::string out;
+  LineWriter line = open_line(out, kSimCellLineBytes, "cell", request_id);
+  line.field("signature", signature);
+  write_fields(line, cell);
+  line.close();
+  return out;
 }
 
 std::string sim_done_line(const std::string& request_id,
@@ -471,37 +608,38 @@ std::string sim_done_line(const std::string& request_id,
   for (const SimCell& cell : table.cells) {
     total_runs += cell.runs;
   }
-  JsonValue line = JsonValue::object();
-  line.set("type", "done");
-  line.set("request", request_id);
-  line.set("signature", signature.hex());
-  line.set("mode", "simulate");
-  line.set("points", table.points.size());
-  line.set("kinds", kinds_json(table.kinds));
-  line.set("cells", table.cells.size());
-  line.set("runs", total_runs);
-  line.set("cache_hit", cache_hit);
+  std::string out;
+  LineWriter line = open_line(out, kSummaryLineBytes, "done", request_id);
+  line.field("signature", signature);
+  line.field("mode", "simulate");
+  line.field("points", table.points.size());
+  line.field("kinds", table.kinds);
+  line.field("cells", table.cells.size());
+  line.field("runs", total_runs);
+  line.field("cache_hit", cache_hit);
   if (stats != nullptr) {
-    line.set("stats", *stats);
+    line.field("stats", *stats);
   }
-  return line.dump();
+  line.close();
+  return out;
 }
 
 std::string pong_line(const std::string& request_id) {
-  JsonValue line = JsonValue::object();
-  line.set("type", "pong");
-  line.set("request", request_id);
-  return line.dump();
+  std::string out;
+  LineWriter line = open_line(out, 32, "pong", request_id);
+  line.close();
+  return out;
 }
 
 std::string error_line(const std::string& request_id, const std::string& field,
                        const std::string& message) {
-  JsonValue line = JsonValue::object();
-  line.set("type", "error");
-  line.set("request", request_id);
-  line.set("field", field);
-  line.set("message", message);
-  return line.dump();
+  std::string out;
+  LineWriter line = open_line(out, 64 + field.size() + message.size(),
+                              "error", request_id);
+  line.field("field", field);
+  line.field("message", message);
+  line.close();
+  return out;
 }
 
 std::string overloaded_line(const std::string& request_id,
@@ -510,25 +648,16 @@ std::string overloaded_line(const std::string& request_id,
   // "type":"error" still terminate the request) extended with the
   // machine-readable shed marker. "field" is empty: the request itself
   // was fine — the server's queue was not.
-  JsonValue line = JsonValue::object();
-  line.set("type", "error");
-  line.set("request", request_id);
-  line.set("field", "");
-  line.set("message",
-           "server overloaded: request shed at admission; retry after " +
-               std::to_string(retry_after_ms) + " ms");
-  line.set("code", "overloaded");
-  line.set("retry_after_ms", retry_after_ms);
-  return line.dump();
-}
-
-JsonlCellSink::JsonlCellSink(std::ostream& os, std::string request_id,
-                             core::GridSignature signature)
-    : os_(os), request_id_(std::move(request_id)), signature_(signature) {}
-
-void JsonlCellSink::on_cell(const core::SweepCell& cell) {
-  os_ << cell_line(request_id_, signature_, cell) << '\n';
-  ++cells_;
+  std::string out;
+  LineWriter line = open_line(out, kSummaryLineBytes, "error", request_id);
+  line.field("field", "");
+  line.field("message",
+             "server overloaded: request shed at admission; retry after " +
+                 std::to_string(retry_after_ms) + " ms");
+  line.field("code", "overloaded");
+  line.field("retry_after_ms", retry_after_ms);
+  line.close();
+  return out;
 }
 
 }  // namespace resilience::service

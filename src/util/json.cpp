@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <system_error>
@@ -438,8 +437,8 @@ void JsonValue::dump_impl(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: out += format_json_number(number_); break;
-    case Type::kString: out += json_quote(string_); break;
+    case Type::kNumber: append_json_number(out, number_); break;
+    case Type::kString: append_json_quote(out, string_); break;
     case Type::kArray: {
       out += '[';
       for (std::size_t i = 0; i < array_.size(); ++i) {
@@ -462,7 +461,7 @@ void JsonValue::dump_impl(std::string& out, int indent, int depth) const {
           out += ',';
         }
         newline_indent(depth + 1);
-        out += json_quote(object_[i].first);
+        append_json_quote(out, object_[i].first);
         out += ':';
         if (indent >= 0) {
           out += ' ';
@@ -482,12 +481,14 @@ JsonValue JsonValue::parse(std::string_view text) {
   return Parser(text).run();
 }
 
-std::string format_json_number(double value) {
+void append_json_number(std::string& out, double value) {
   if (std::isnan(value)) {
-    return "NaN";
+    out += "NaN";
+    return;
   }
   if (std::isinf(value)) {
-    return value > 0 ? "Infinity" : "-Infinity";
+    out += value > 0 ? "Infinity" : "-Infinity";
+    return;
   }
   // to_chars: the shortest representation that round-trips bit-exactly,
   // independent of the process locale (snprintf %g honors LC_NUMERIC and
@@ -495,34 +496,55 @@ std::string format_json_number(double value) {
   // byte-identity guarantee and JSON validity).
   char buffer[40];
   const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
-  return std::string(buffer, result.ptr);
+  out.append(buffer, result.ptr);
+}
+
+void append_json_quote(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  // Runs of bytes that need no escape are appended in one call.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    const char* escape = nullptr;
+    switch (c) {
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\b': escape = "\\b"; break;
+      case '\f': escape = "\\f"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      case '\t': escape = "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) {
+          continue;
+        }
+    }
+    out.append(text.data() + run, i - run);
+    run = i + 1;
+    if (escape != nullptr) {
+      out += escape;
+    } else {
+      const auto byte = static_cast<unsigned char>(c);
+      const char unicode[] = {'\\', 'u', '0', '0', kHex[byte >> 4],
+                              kHex[byte & 0xF]};
+      out.append(unicode, sizeof unicode);
+    }
+  }
+  out.append(text.data() + run, text.size() - run);
+  out += '"';
+}
+
+std::string format_json_number(double value) {
+  std::string out;
+  append_json_number(out, value);
+  return out;
 }
 
 std::string json_quote(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+  append_json_quote(out, text);
   return out;
 }
 

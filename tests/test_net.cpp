@@ -490,8 +490,8 @@ TEST(NetServer, PingAnswersOnePongLine) {
   EXPECT_NE(stats[0].find("\"submits\":0"), std::string::npos);
 }
 
-/// A grid guaranteed not to finish inside a short deadline: ~3000 cells
-/// of full numeric optimization.
+/// A grid that cannot finish inside a short deadline when its cells are
+/// held back (see slowed_cells): 3072 cells of full numeric optimization.
 std::string doomed_request(const std::string& id, int deadline_ms) {
   std::string request =
       "{\"id\": \"" + id +
@@ -513,8 +513,37 @@ std::string doomed_request(const std::string& id, int deadline_ms) {
   return request;
 }
 
+/// Serves each connection with the daemon's JsonlSession over `service`,
+/// but holds every streamed cell line back 1 ms before emitting it. Cells
+/// stream under the runner's sink lock and the deadline is polled per
+/// cell, so a grid of N cells then takes at least N ms on any CPU: a
+/// deadline far below that expires by construction, not because the
+/// machine is slow.
+rn::NetServerOptions slowed_cells(rs::SweepService& service,
+                                  int default_deadline_ms = 0) {
+  rn::NetServerOptions options;
+  options.default_deadline_ms = default_deadline_ms;
+  options.session_factory = [&service, default_deadline_ms](
+                                rs::LineSession::LineFn emit,
+                                std::shared_ptr<std::atomic<bool>> cancel) {
+    rs::JsonlSession::Options session_options;
+    session_options.default_deadline_ms = default_deadline_ms;
+    return std::make_unique<rs::JsonlSession>(
+        service,
+        [emit = std::move(emit)](std::string&& line, bool end_of_response) {
+          if (!end_of_response) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          emit(std::move(line), end_of_response);
+        },
+        std::move(session_options), std::move(cancel));
+  };
+  return options;
+}
+
 TEST(NetServer, DeadlineExceededAnswersErrorAndServerKeepsServing) {
-  TestDaemon daemon;
+  rs::SweepService service;
+  TestDaemon daemon(slowed_cells(service));
   rn::Client client;
   client.connect("127.0.0.1", daemon.port());
 
@@ -546,9 +575,8 @@ TEST(NetServer, DeadlineExceededAnswersErrorAndServerKeepsServing) {
 }
 
 TEST(NetServer, DefaultDeadlineAppliesWhenRequestCarriesNone) {
-  rn::NetServerOptions options;
-  options.default_deadline_ms = 50;
-  TestDaemon daemon(std::move(options));
+  rs::SweepService service;
+  TestDaemon daemon(slowed_cells(service, 50));
   rn::Client client;
   client.connect("127.0.0.1", daemon.port());
 

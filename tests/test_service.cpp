@@ -1,30 +1,38 @@
 // Tests for the service layer: request parsing/validation with
 // field-naming errors, grid signatures, the LRU table cache (hits
 // bit-identical to recomputes at several pool sizes), streaming delivery
-// (exact cell set, no dupes/drops), in-flight dedupe, and the
-// byte-identical SweepTable JSON round trip.
+// (exact cell set, no dupes/drops), in-flight dedupe, the
+// byte-identical SweepTable JSON round trip, and the response-line wire
+// format (literal pins plus a seeded equivalence against the
+// tree-building reference in serialize_reference.hpp).
 
 #include "resilience/service/sweep_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "resilience/net/fault.hpp"
 #include "resilience/service/jsonl_session.hpp"
 #include "resilience/service/scenario_request.hpp"
 #include "resilience/service/serialize.hpp"
 #include "resilience/service/sim_service.hpp"
 #include "resilience/service/submit_pipeline.hpp"
 #include "resilience/util/thread_pool.hpp"
+#include "serialize_reference.hpp"
 
 namespace rc = resilience::core;
 namespace rs = resilience::service;
@@ -892,25 +900,355 @@ TEST(Serialize, RequestRoundTrip) {
   EXPECT_FALSE(reparsed.numeric_optimum);
 }
 
-TEST(Serialize, JsonlCellSinkWritesParseableLines) {
-  const auto grid = small_grid();
-  rs::SweepService service;
-  std::ostringstream out;
-  rs::JsonlCellSink sink(out, "req-1", rc::grid_signature(grid, {}));
-  const rs::SubmitResult result = service.submit(grid, &sink);
-  EXPECT_EQ(sink.cells_written(), result.table->cells.size());
+// Literal wire-format pins: every response line kind against bytes
+// written by hand, not against a second path through the same renderer.
+// The request id carries every escape class of json_quote: '"', '\', a
+// newline, control bytes 0x01/0x1f (\u00XX) and raw UTF-8 (passed
+// through unescaped).
 
-  std::istringstream lines(out.str());
-  std::string line;
-  std::size_t count = 0;
-  while (std::getline(lines, line)) {
-    const auto value = ru::JsonValue::parse(line);
-    EXPECT_EQ(value.find("type")->as_string(), "cell");
-    EXPECT_EQ(value.find("request")->as_string(), "req-1");
-    EXPECT_EQ(value.find("signature")->as_string(), result.signature.hex());
-    ++count;
+namespace {
+
+const std::string kPinId =
+    "q\"b\\s\nn\x01\x1f" "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80";
+const std::string kPinIdJson =
+    R"("q\"b\\s\nn\u0001\u001f)" "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\"";
+// Leading zero nibbles: the signature is always 16 digits.
+const rc::GridSignature kPinSignature{0x00ab12cd34ef5678ull};
+const std::string kPinHead =
+    R"("request":)" + kPinIdJson + R"(,"signature":"00ab12cd34ef5678")";
+
+rc::SweepCell pin_cell(double exact_at_first_order) {
+  rc::SweepCell cell;
+  cell.point_index = 3;
+  cell.kind = rc::PatternKind::kDMVg;
+  cell.first_order.segments_n = 2;
+  cell.first_order.chunks_m = 5;
+  cell.first_order.rational_n = 1.7320508075688772;
+  cell.first_order.rational_m = 4.5;
+  cell.first_order.work = 12345.678;
+  cell.first_order.overhead = 0.0123;
+  cell.first_order.coefficients.error_free = 1.25e-07;
+  cell.first_order.coefficients.reexecuted_work = 3e5;
+  cell.exact_at_first_order = exact_at_first_order;
+  cell.segments_n = 9007199254740991ull;  // 2^53 - 1
+  cell.chunks_m = 0;
+  cell.work = -0.0;
+  cell.overhead = 4.9406564584124654e-324;  // smallest subnormal
+  cell.warm_started = true;
+  return cell;
+}
+
+/// A hand-built embedded stats block (the router's merged shape).
+ru::JsonValue pin_stats() {
+  ru::JsonValue shard = ru::JsonValue::object();
+  shard.set("id", "s\"1");
+  shard.set("hits", 2);
+  ru::JsonValue shards = ru::JsonValue::array();
+  shards.push_back(shard);
+  shards.push_back(nullptr);
+  shards.push_back(-1.5e-7);
+  ru::JsonValue stats = ru::JsonValue::object();
+  stats.set("shards", shards);
+  return stats;
+}
+const std::string kPinStatsJson =
+    R"({"shards":[{"id":"s\"1","hits":2},null,-1.5e-07]})";
+
+}  // namespace
+
+TEST(WireFormat, CellLineBytesArePinned) {
+  const struct {
+    double exact;
+    const char* token;
+  } cases[] = {
+      {std::numeric_limits<double>::infinity(), "Infinity"},
+      {std::numeric_limits<double>::quiet_NaN(), "NaN"},
+      {-0.0, "-0"},
+      {2.2250738585072009e-308, "2.225073858507201e-308"},  // largest subnormal
+      {9007199254740993.0, "9007199254740992"},  // 2^53 + 1 rounds to 2^53
+  };
+  for (const auto& c : cases) {
+    const std::string expected =
+        R"({"type":"cell",)" + kPinHead +
+        R"(,"point":3,"kind":"PDMV*","first_order":{"segments_n":2,)"
+        R"("chunks_m":5,"rational_n":1.7320508075688772,"rational_m":4.5,)"
+        R"("work":12345.678,"overhead":0.0123,"error_free":1.25e-07,)"
+        R"("reexecuted_work":3e+05},"exact_at_first_order":)" +
+        c.token +
+        R"(,"segments_n":9007199254740991,"chunks_m":0,"work":-0,)"
+        R"("overhead":5e-324,"warm_started":true})";
+    EXPECT_EQ(rs::cell_line(kPinId, kPinSignature, pin_cell(c.exact)),
+              expected)
+        << c.token;
   }
-  EXPECT_EQ(count, result.table->cells.size());
+}
+
+TEST(WireFormat, SimCellLineBytesArePinned) {
+  rs::SimCell cell;
+  cell.point_index = 1;
+  cell.kind = rc::PatternKind::kDV;
+  cell.weibull_shape = 0.7;
+  cell.faulty_ops = 0.5;
+  cell.mean = 0.1234;
+  cell.ci_low = 0.1;
+  cell.ci_high = 0.15;
+  cell.runs = 96;
+  cell.early_stopped = true;
+  EXPECT_EQ(rs::sim_cell_line(kPinId, kPinSignature, cell),
+            R"({"type":"cell",)" + kPinHead +
+                R"(,"point":1,"kind":"PDV","weibull_shape":0.7,)"
+                R"("faulty_ops":0.5,"mean":0.1234,"ci_low":0.1,)"
+                R"("ci_high":0.15,"runs":96,"early_stopped":true})");
+}
+
+TEST(WireFormat, DoneLineBytesArePinnedWithAndWithoutStats) {
+  rc::SweepTable table;
+  table.kinds = {rc::PatternKind::kD, rc::PatternKind::kDMVg};
+  table.points.resize(2);
+  table.cells.resize(4);
+  const std::string summary =
+      R"({"type":"done",)" + kPinHead +
+      R"(,"points":2,"kinds":["PD","PDMV*"],"cells":4,)";
+  EXPECT_EQ(rs::done_line(kPinId, kPinSignature, table, true, false),
+            summary + R"("cache_hit":true,"joined_in_flight":false})");
+  const ru::JsonValue stats = pin_stats();
+  EXPECT_EQ(rs::done_line(kPinId, kPinSignature, table, false, true, &stats),
+            summary + R"("cache_hit":false,"joined_in_flight":true,"stats":)" +
+                kPinStatsJson + "}");
+}
+
+TEST(WireFormat, SimDoneLineBytesArePinned) {
+  rs::SimTable table;
+  table.kinds = {rc::PatternKind::kD, rc::PatternKind::kDV};
+  table.points.resize(1);
+  table.cells.resize(2);
+  table.cells[0].runs = 96;
+  table.cells[1].runs = 64;
+  const std::string summary =
+      R"({"type":"done",)" + kPinHead +
+      R"(,"mode":"simulate","points":1,"kinds":["PD","PDV"],"cells":2,)"
+      R"("runs":160,)";
+  EXPECT_EQ(rs::sim_done_line(kPinId, kPinSignature, table, true),
+            summary + R"("cache_hit":true})");
+  const ru::JsonValue stats = pin_stats();
+  EXPECT_EQ(rs::sim_done_line(kPinId, kPinSignature, table, false, &stats),
+            summary + R"("cache_hit":false,"stats":)" + kPinStatsJson + "}");
+}
+
+TEST(WireFormat, ErrorOverloadedAndPongLineBytesArePinned) {
+  EXPECT_EQ(rs::error_line(kPinId, "grid.node_counts[0]",
+                           "must be > 0, got \"x\"\t\\"),
+            R"({"type":"error","request":)" + kPinIdJson +
+                R"(,"field":"grid.node_counts[0]",)"
+                R"("message":"must be > 0, got \"x\"\t\\"})");
+  EXPECT_EQ(rs::overloaded_line(kPinId, 250),
+            R"({"type":"error","request":)" + kPinIdJson +
+                R"(,"field":"","message":"server overloaded: request shed )"
+                R"(at admission; retry after 250 ms","code":"overloaded",)"
+                R"("retry_after_ms":250})");
+  EXPECT_EQ(rs::pong_line(kPinId),
+            R"({"type":"pong","request":)" + kPinIdJson + "}");
+  EXPECT_EQ(rs::pong_line(""), R"({"type":"pong","request":""})");
+}
+
+TEST(WireFormat, StatsLineBytesArePinned) {
+  rs::ServiceStats stats;
+  stats.submits = 7;
+  stats.cache_capacity = 64;
+  stats.sim_runs_per_second = 12.5;
+  const std::string blocks =
+      R"({"type":"stats","request":"st","service":{"submits":7,)"
+      R"("cache_hits":0,"disk_hits":0,"joined_in_flight":0,)"
+      R"("tables_computed":0,"seeded_computes":0,"deadline_timeouts":0},)"
+      R"("cache":{"size":0,"capacity":64,"hits":0,"misses":0,"seed_hits":0,)"
+      R"("disk_loads":0,"disk_rejects":0},"sim":{"submits":0,)"
+      R"("cache_hits":0,"disk_hits":0,"cells":0,"runs":0,"early_stops":0,)"
+      R"("runs_per_second":12.5,"joined_in_flight":0,"disk_rejects":0})";
+  EXPECT_EQ(rs::stats_line("st", stats), blocks + "}");
+  ru::JsonValue transport = ru::JsonValue::object();
+  transport.set("queued", 3);
+  EXPECT_EQ(rs::stats_line("st", stats, &transport),
+            blocks + R"(,"transport":{"queued":3}})");
+}
+
+namespace {
+
+/// Seeded values for the renderer equivalence test, drawn from the
+/// splitmix64 stream of net::FaultSchedule.
+class Draws {
+ public:
+  explicit Draws(std::uint64_t seed) : schedule_(seed) {}
+
+  std::uint64_t next() { return schedule_.next(); }
+  std::uint64_t below(std::uint64_t n) { return next() % n; }
+  bool coin() { return (next() & 1) != 0; }
+
+  /// Any double the wire carries: raw bit patterns (NaNs canonicalized —
+  /// the reader yields the one quiet NaN), the edge values, and the
+  /// short decimals real cells hold.
+  double number() {
+    static const double kEdges[] = {
+        0.0, -0.0, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(), 9007199254740992.0,
+        9007199254740994.0, 1e21, 1e-7, 0.1};
+    switch (below(4)) {
+      case 0: {
+        const double raw = std::bit_cast<double>(next());
+        return std::isnan(raw) ? std::numeric_limits<double>::quiet_NaN()
+                               : raw;
+      }
+      case 1: return kEdges[below(std::size(kEdges))];
+      case 2:
+        return static_cast<double>(static_cast<std::int64_t>(below(2000001)) -
+                                   1000000) /
+               1000.0;
+      default: return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
+  }
+  /// An integer field: every value cell_from_json accepts, [0, 2^53].
+  std::size_t index() {
+    return below(3) == 0 ? below(100) : below((1ull << 53) + 1);
+  }
+  rc::PatternKind kind() {
+    return rc::all_pattern_kinds()[below(rc::kPatternKindCount)];
+  }
+  /// A request id from pieces covering every json_quote class.
+  std::string id() {
+    static const char* kPieces[] = {
+        "a", "Z", "7", "-", "/", " ", "\"", "\\", "\n", "\r", "\t", "\b",
+        "\f", "\x01", "\x1f", "\x7f", "\xc3\xa9", "\xe2\x82\xac",
+        "\xf0\x9f\x98\x80"};
+    std::string out;
+    const std::uint64_t pieces = below(25);
+    for (std::uint64_t i = 0; i < pieces; ++i) {
+      out += kPieces[below(std::size(kPieces))];
+    }
+    return out;
+  }
+
+ private:
+  resilience::net::FaultSchedule schedule_;
+};
+
+rc::SweepCell draw_cell(Draws& draws) {
+  rc::SweepCell cell;
+  cell.point_index = draws.index();
+  cell.kind = draws.kind();
+  cell.first_order.kind = cell.kind;  // re-inherited on parse
+  cell.first_order.segments_n = draws.index();
+  cell.first_order.chunks_m = draws.index();
+  cell.first_order.rational_n = draws.number();
+  cell.first_order.rational_m = draws.number();
+  cell.first_order.work = draws.number();
+  cell.first_order.overhead = draws.number();
+  cell.first_order.coefficients.error_free = draws.number();
+  cell.first_order.coefficients.reexecuted_work = draws.number();
+  cell.exact_at_first_order = draws.number();
+  cell.segments_n = draws.index();
+  cell.chunks_m = draws.index();
+  cell.work = draws.number();
+  cell.overhead = draws.number();
+  cell.warm_started = draws.coin();
+  return cell;
+}
+
+rs::SimCell draw_sim_cell(Draws& draws) {
+  rs::SimCell cell;
+  cell.point_index = draws.index();
+  cell.kind = draws.kind();
+  cell.weibull_shape = draws.number();
+  cell.faulty_ops = draws.number();
+  cell.mean = draws.number();
+  cell.ci_low = draws.number();
+  cell.ci_high = draws.number();
+  cell.runs = draws.index();
+  cell.early_stopped = draws.coin();
+  return cell;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool sim_cells_bit_identical(const rs::SimCell& a, const rs::SimCell& b) {
+  return a.point_index == b.point_index && a.kind == b.kind &&
+         same_bits(a.weibull_shape, b.weibull_shape) &&
+         same_bits(a.faulty_ops, b.faulty_ops) && same_bits(a.mean, b.mean) &&
+         same_bits(a.ci_low, b.ci_low) && same_bits(a.ci_high, b.ci_high) &&
+         a.runs == b.runs && a.early_stopped == b.early_stopped;
+}
+
+/// The request and signature members every cell line leads with.
+void expect_line_head(const ru::JsonValue& line, const std::string& id,
+                      rc::GridSignature signature) {
+  EXPECT_EQ(line.find("type")->as_string(), "cell");
+  EXPECT_EQ(line.find("request")->as_string(), id);
+  EXPECT_EQ(line.find("signature")->as_string(), signature.hex());
+}
+
+}  // namespace
+
+TEST(WireFormat, SeededLinesMatchTreeReferenceAndRoundTripBitExactly) {
+  namespace ref = rs::reference;
+  Draws draws(20160523);
+  const ru::JsonValue stats = pin_stats();
+  for (int i = 0; i < 10000; ++i) {
+    SCOPED_TRACE("draw " + std::to_string(i));
+    const std::string id = draws.id();
+    const rc::GridSignature signature{draws.next()};
+
+    const rc::SweepCell cell = draw_cell(draws);
+    const std::string line = rs::cell_line(id, signature, cell);
+    ASSERT_EQ(line, ref::cell_line(id, signature, cell));
+    ASSERT_EQ(rs::to_json(cell).dump(), ref::to_json(cell).dump());
+    const ru::JsonValue parsed = ru::JsonValue::parse(line);
+    expect_line_head(parsed, id, signature);
+    ASSERT_TRUE(rc::cells_bit_identical(rs::cell_from_json(parsed), cell));
+
+    const rs::SimCell sim_cell = draw_sim_cell(draws);
+    const std::string sim_line = rs::sim_cell_line(id, signature, sim_cell);
+    ASSERT_EQ(sim_line, ref::sim_cell_line(id, signature, sim_cell));
+    ASSERT_EQ(rs::to_json(sim_cell).dump(), ref::to_json(sim_cell).dump());
+    const ru::JsonValue sim_parsed = ru::JsonValue::parse(sim_line);
+    expect_line_head(sim_parsed, id, signature);
+    ASSERT_TRUE(sim_cells_bit_identical(rs::sim_cell_from_json(sim_parsed),
+                                        sim_cell));
+
+    // Summary lines depend on table sizes, kinds and runs only.
+    rc::SweepTable table;
+    rs::SimTable sim_table;
+    for (std::uint64_t k = draws.below(7); k > 0; --k) {
+      table.kinds.push_back(draws.kind());
+    }
+    sim_table.kinds = table.kinds;
+    table.points.resize(draws.below(9));
+    sim_table.points.resize(table.points.size());
+    table.cells.resize(draws.below(50));
+    sim_table.cells.resize(table.cells.size());
+    for (rs::SimCell& each : sim_table.cells) {
+      each.runs = draws.below(1u << 20);
+    }
+    const ru::JsonValue* block = draws.coin() ? &stats : nullptr;
+    const bool hit = draws.coin();
+    const bool joined = draws.coin();
+    ASSERT_EQ(rs::done_line(id, signature, table, hit, joined, block),
+              ref::done_line(id, signature, table, hit, joined, block));
+    ASSERT_EQ(rs::sim_done_line(id, signature, sim_table, hit, block),
+              ref::sim_done_line(id, signature, sim_table, hit, block));
+
+    const std::string field = draws.id();
+    const std::string message = draws.id();
+    const auto retry_ms = static_cast<std::int64_t>(draws.below(100000));
+    ASSERT_EQ(rs::error_line(id, field, message),
+              ref::error_line(id, field, message));
+    ASSERT_EQ(rs::overloaded_line(id, retry_ms),
+              ref::overloaded_line(id, retry_ms));
+    ASSERT_EQ(rs::pong_line(id), ref::pong_line(id));
+  }
 }
 
 TEST(ServiceStats, CountersTrackSubmissionOutcomes) {
