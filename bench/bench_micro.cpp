@@ -417,7 +417,9 @@ struct NetBenchResult {
   // "deadline_ms" must answer a located timeout error line in under
   // 2x the deadline, and the pool must keep serving warm requests at
   // full throughput afterwards (the timed-out sweep released its
-  // worker instead of wedging it).
+  // worker instead of wedging it). The grid's cell lines are held 1 ms
+  // each while it runs, so its 3072 cells need at least 3 s and the
+  // deadline expires by construction on any CPU.
   int deadline_ms = 0;
   double deadline_elapsed_ms = 0.0;
   bool deadline_error_line = false;
@@ -469,6 +471,7 @@ NetBenchResult run_net_bench() {
   // Construction binds (and can throw in sandboxes without loopback);
   // keep it inside the failure path so the bench degrades to a gated
   // "net section failed" instead of std::terminate.
+  std::atomic<bool> hold_cells{false};
   std::unique_ptr<rn::NetServer> server;
   std::thread serving;
   std::vector<std::string> received;
@@ -476,7 +479,26 @@ NetBenchResult run_net_bench() {
   double serial_seconds = 0.0;
   double pipelined_seconds = 0.0;
   try {
-    server = std::make_unique<rn::NetServer>(rn::NetServerOptions{});
+    // The daemon's JsonlSession over the server's own service (admission
+    // pricing and inline hits read the same store), except that cell
+    // lines are held 1 ms each while `hold_cells` is set: only the
+    // deadline phase sets it, so the other phases time the unslowed path.
+    rn::NetServerOptions options;
+    options.session_factory = [&server, &hold_cells](
+                                  rv::LineSession::LineFn emit,
+                                  std::shared_ptr<std::atomic<bool>> cancel) {
+      return std::make_unique<rv::JsonlSession>(
+          server->service(),
+          [&hold_cells, emit = std::move(emit)](std::string&& line,
+                                                bool end_of_response) {
+            if (!end_of_response && hold_cells) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            emit(std::move(line), end_of_response);
+          },
+          rv::JsonlSession::Options(), std::move(cancel));
+    };
+    server = std::make_unique<rn::NetServer>(std::move(options));
     serving = std::thread([&server] {
       try {
         server->run();
@@ -534,12 +556,11 @@ NetBenchResult run_net_bench() {
       received.insert(received.end(), pipelined.begin(), pipelined.end());
       result.responses_identical = received == expected;
     }
-    {  // deadline: a cold ~3000-cell grid cannot finish in 100 ms, so
-      // the request must answer a timeout error line in < 2x that, and
-      // the worker it released must keep serving warm requests at full
-      // speed. (If the grid somehow computed inside the deadline the
-      // done line would be served instead — that is a gate failure,
-      // because it means the gate measured nothing.)
+    {  // deadline: a cold 3072-cell grid whose cell lines are held 1 ms
+      // each cannot finish in 100 ms on any CPU, so the request must
+      // answer a timeout error line in < 2x that, and the worker it
+      // released must keep serving warm requests at full speed. (A done
+      // line instead would be a gate failure: the gate measured nothing.)
       result.deadline_ms = 100;
       const std::string doomed =
           "{\"id\": \"doomed\", "
@@ -553,8 +574,10 @@ NetBenchResult run_net_bench() {
           "{\"disk_checkpoint\": 293.0}, {\"disk_checkpoint\": 297.0}, "
           "{\"disk_checkpoint\": 299.0}], "
           "\"deadline_ms\": 100}";
+      hold_cells = true;
       const auto start = std::chrono::steady_clock::now();
       const auto response = client.transact(doomed);
+      hold_cells = false;
       result.deadline_elapsed_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - start)

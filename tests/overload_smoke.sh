@@ -14,7 +14,12 @@
 #     actually exercised admission control) and zero expired requests;
 #   - the drained daemon still exits 0.
 # Caching and seed reuse are off (--cache-capacity=0) so every compute is
-# cold and the done-line flags cannot depend on arrival order.
+# cold and the done-line flags cannot depend on arrival order. The
+# overloaded daemon runs one request worker (--request-workers=1): the
+# budget counts waiting requests, not executing ones, so with a worker
+# per heavy client no heavy request would ever wait and nothing would be
+# shed. One worker makes the sheds a matter of construction, not of the
+# machine's core count.
 #
 # Usage: overload_smoke.sh BUILD_DIR
 set -u
@@ -71,12 +76,14 @@ done
 expect_drain "$DAEMON_PID" "reference daemon"
 
 # ------------------------------------- overloaded daemon + barrage --
-# Budget 400: one queued heavy (384 units) fits, a second heavy on top
-# does not (768 > 400) and is shed; a cheap request alongside a queued
-# heavy (385) still fits. Depth 8 backstops the cheap stream.
+# One request worker: while it executes one heavy, a second heavy waits
+# in the queue. Budget 400: that queued heavy (384 units) fits, a third
+# heavy on top does not (768 > 400) and is shed; a cheap request
+# alongside a queued heavy (385) still fits. Depth 8 backstops the cheap
+# stream.
 "$BUILD/sweep_serverd" --port=0 --port-file="$TMP/port" \
     --cache-capacity=0 --max-queue-cost=400 --max-queue-depth=8 \
-    2>>"$TMP/daemon.log" &
+    --request-workers=1 2>>"$TMP/daemon.log" &
 DAEMON_PID=$!
 track_pid "$DAEMON_PID"
 wait_for_port "$TMP/port" "$DAEMON_PID" "daemon"
