@@ -190,6 +190,25 @@ TEST(GridSignature, StableAcrossCallsAndHexFormatted) {
   EXPECT_EQ(a.hex(), b.hex());
 }
 
+// Signatures name every spill file and appear in every response line, so a
+// change to what they hash orphans caches and changes wire bytes. These
+// literals pin the values themselves, not just their stability.
+TEST(GridSignature, PinnedLiteralValues) {
+  const auto grid = small_grid();
+  EXPECT_EQ(rc::grid_signature(grid, rc::SweepOptions{}).hex(), "4160ff1d8b61f984");
+  rc::SweepOptions analytic_only;
+  analytic_only.numeric_optimum = false;
+  EXPECT_EQ(rc::grid_signature(grid, analytic_only).hex(), "0bb820838f9e4265");
+  EXPECT_EQ(rc::chain_key(rc::hera(), rc::CostOverride{}, rc::PatternKind::kDMV,
+                          rc::SweepOptions{})
+                .hex(),
+            "fb83e1f22338c7ff");
+  EXPECT_EQ(rs::sim_signature(rc::resolve_points(grid), grid.resolved_kinds(),
+                              rs::SimParams{})
+                .hex(),
+            "ded4bc297f7b018e");
+}
+
 TEST(GridSignature, SensitiveToContentNotSchedule) {
   const auto grid = small_grid();
   rc::SweepOptions options;
