@@ -199,12 +199,6 @@ class ExactEvaluator {
 [[nodiscard]] double segment_quadratic_form(const std::vector<double>& beta,
                                             double recall);
 
-/// Reference O(m^2) evaluation of the same quadratic form via the explicit
-/// A_ij = (1 + (1-r)^{|i-j|})/2 pair loop. Kept as the regression oracle
-/// for the O(m) recurrence (tests pin the two against each other).
-[[nodiscard]] double segment_quadratic_form_reference(
-    const std::vector<double>& beta, double recall);
-
 /// Expected costs of Eqs. (30)-(33) given an estimate of the pattern
 /// re-execution time T_rec.
 [[nodiscard]] OperationCosts expected_operation_costs(const ModelParams& params,

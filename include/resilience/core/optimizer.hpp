@@ -27,9 +27,6 @@ struct OptimizerOptions {
   double work_hi = 1e7;                ///< seconds
   double work_tolerance = 1e-3;        ///< absolute W tolerance (seconds)
   EvaluationOptions evaluation;        ///< exact-evaluator switches
-  /// When true, also refines the chunk fractions numerically instead of
-  /// trusting the Eq. (18) closed form (slow; used by validation tests).
-  bool optimize_chunk_fractions = false;
   /// Half-width of the exhaustive (n, m) window scanned around the
   /// seed before the descent; the window cells and each descent round's
   /// neighbor moves are evaluated across the pool.
@@ -44,26 +41,11 @@ struct OptimizerOptions {
   /// lattice optimum; the seed only moves the starting window.
   std::size_t seed_segments_n = 0;
   std::size_t seed_chunks_m = 0;
-  /// Warm-start W metadata carried alongside the (n, m) seed (seconds;
-  /// 0 = none). Deliberately inert in cell evaluation: the golden-section
-  /// bracket is always centered on the cell's own first-order W* (with the
-  /// pinned-edge full-bracket fallback), so every cell's (W, H) is a pure
-  /// function of (kind, n, m, params, evaluation options) and any seeding
-  /// path — cold, chain predecessor, cross-grid SeedSource — produces
-  /// bit-identical values. Seed providers still populate it (it documents
-  /// where the seed sat), but it must never change results.
-  double work_hint = 0.0;
   /// Evaluate (n, m) cells inline instead of fanning out across the pool.
   /// Required when the optimizer itself runs inside a pool task (the pool
   /// forbids nested parallel_for); SweepRunner sets this because it already
   /// parallelizes across grid points.
   bool serial_cells = false;
-  /// Per-probe make_pattern + evaluate_pattern instead of the bound
-  /// ExactEvaluator — the pre-sweep baseline kept measurable for
-  /// BENCH_micro.json. Note the one-shot evaluate_pattern itself now runs
-  /// on the rebuilt evaluator, so this baseline is already faster than the
-  /// true pre-PR code and the measured sweep speedup is a lower bound.
-  bool legacy_cell_evaluation = false;
 };
 
 /// A numerically optimized pattern and its exact overhead.
@@ -87,8 +69,10 @@ struct NumericSolution {
                                           const OptimizerOptions& options = {});
 
 /// Full numeric optimization of one pattern family: exact-overhead search
-/// over W (golden section), n and m (monotone neighborhood descent from the
-/// first-order guess, falling back to exhaustive scan for small spaces).
+/// over W (golden section) in every (n, m) cell of a scan window around the
+/// seed (the first-order guess or a warm start), then neighborhood descent
+/// over the (n, m) lattice from the window's best cell. Chunk fractions are
+/// the Eq. (18) closed form.
 [[nodiscard]] NumericSolution optimize_pattern(PatternKind kind,
                                                const ModelParams& params,
                                                const OptimizerOptions& options = {});

@@ -290,8 +290,9 @@ struct SweepOptions {
   /// fields of each cell then stay at their defaults.
   bool numeric_optimum = true;
   /// Seed each point from its chain predecessor's optimum. Warm starts
-  /// shrink the scanned (n, m) window and center the W bracket; the
-  /// descent still converges to the same lattice optimum as a cold start.
+  /// move and shrink the scanned (n, m) window; each cell's W bracket stays
+  /// centered on its own first-order W*, so the descent lands on the same
+  /// lattice optimum, bit for bit, as a cold start.
   bool warm_start = true;
   /// (n, m) scan half-width for warm-started points (cold points use
   /// optimizer.scan_radius).

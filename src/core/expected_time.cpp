@@ -306,21 +306,13 @@ double evaluate_base_pattern_closed_form(double work, const ModelParams& params)
          exp_both_minus_one * c.memory_recovery;
 }
 
-namespace {
-
-void validate_quadratic_form_input(const std::vector<double>& beta, double recall) {
+double segment_quadratic_form(const std::vector<double>& beta, double recall) {
   if (beta.empty()) {
     throw std::invalid_argument("segment_quadratic_form: empty chunk vector");
   }
   if (!(recall > 0.0) || recall > 1.0) {
     throw std::invalid_argument("segment_quadratic_form: recall must be in (0, 1]");
   }
-}
-
-}  // namespace
-
-double segment_quadratic_form(const std::vector<double>& beta, double recall) {
-  validate_quadratic_form_input(beta, recall);
   // With q = 1 - r and S = sum_i beta_i,
   //   beta^T A beta = (S^2 + sum_{i,j} beta_i beta_j q^{|i-j|}) / 2,
   // and the decayed cross term folds into the O(m) recurrence
@@ -337,21 +329,6 @@ double segment_quadratic_form(const std::vector<double>& beta, double recall) {
     total += beta[j];
   }
   return 0.5 * (total * total + cross);
-}
-
-double segment_quadratic_form_reference(const std::vector<double>& beta,
-                                        double recall) {
-  validate_quadratic_form_input(beta, recall);
-  const std::size_t m = beta.size();
-  double value = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      const auto distance = static_cast<double>(i > j ? i - j : j - i);
-      const double a_ij = 0.5 * (1.0 + std::pow(1.0 - recall, distance));
-      value += beta[i] * a_ij * beta[j];
-    }
-  }
-  return value;
 }
 
 double evaluate_pattern_second_order(const PatternSpec& pattern,

@@ -19,21 +19,6 @@ namespace {
 
 constexpr double kGoldenRatio = 0.6180339887498949;  // (sqrt(5) - 1) / 2
 
-/// Exact overhead of the canonical (kind, n, m, W) pattern through the
-/// one-shot evaluate_pattern path (allocates per call); +inf where the
-/// evaluator rejects the configuration (e.g. success probability underflow
-/// for absurdly long patterns). Kept as the legacy baseline the fused
-/// evaluator path is benchmarked against.
-double exact_overhead(PatternKind kind, std::size_t n, std::size_t m, double work,
-                      const ModelParams& params, const EvaluationOptions& eval) {
-  try {
-    const PatternSpec pattern = make_pattern(kind, work, n, m, params.costs.recall);
-    return evaluate_pattern(pattern, params, eval).overhead;
-  } catch (const std::domain_error&) {
-    return std::numeric_limits<double>::infinity();
-  }
-}
-
 /// One lattice cell of the (n, m) search space.
 struct Cell {
   std::size_t n = 1;
@@ -55,13 +40,12 @@ struct CellValue {
 };
 
 /// Golden-section minimization over W with a bracket derived from `center`
-/// (the first-order W* or a warm-start hint): [center/50, 50*center]
-/// clamped to the global [work_lo, work_hi]. H is unimodal in W and the
-/// first-order W* is within a small factor of the true optimum in every
-/// regime we care about, so the tight bracket is normally safe — and when
-/// it is not (a stale warm hint), the minimizer lands on a tightened edge
-/// and the search re-runs on the full bracket, so the result never depends
-/// on the quality of the hint.
+/// (the cell's first-order W*): [center/50, 50*center] clamped to the
+/// global [work_lo, work_hi]. H is unimodal in W and the first-order W* is
+/// within a small factor of the true optimum in every regime we care about,
+/// so the tight bracket is normally safe — and when it is not, the
+/// minimizer lands on a tightened edge and the search re-runs on the full
+/// bracket.
 double bracketed_work_minimum(const std::function<double(double)>& objective,
                               double center, const OptimizerOptions& options) {
   double lo = options.work_lo;
@@ -107,8 +91,8 @@ CellValue evaluate_cell_fused(PatternKind kind, std::size_t n, std::size_t m,
       return std::numeric_limits<double>::infinity();
     }
   };
-  // The bracket center is always the cell's own first-order W*, never the
-  // caller's work_hint: a cell's (W, H) must be a pure function of
+  // The bracket center is always the cell's own first-order W*, never a
+  // neighbor's W: a cell's (W, H) must be a pure function of
   // (kind, n, m, params, evaluation options) so that cold, chain-warm and
   // cross-grid-seeded searches all land on bit-identical values — the
   // identity the sweep cache's partial-result reuse is built on.
@@ -117,33 +101,6 @@ CellValue evaluate_cell_fused(PatternKind kind, std::size_t n, std::size_t m,
   value.work = bracketed_work_minimum(objective, center, options);
   value.overhead = objective(value.work);
   return value;
-}
-
-/// The pre-sweep W search: per-probe make_pattern + evaluate_pattern, fixed
-/// first-order bracket, no interior fallback. Selected by
-/// OptimizerOptions::legacy_cell_evaluation so BENCH_micro.json can keep
-/// measuring the fused path against it.
-double legacy_optimize_work_length(PatternKind kind, std::size_t segments_n,
-                                   std::size_t chunks_m, const ModelParams& params,
-                                   const OptimizerOptions& options) {
-  const auto coeff = overhead_coefficients(kind, params, segments_n, chunks_m);
-  double lo = options.work_lo;
-  double hi = options.work_hi;
-  const double first_order_work = coeff.optimal_work();
-  if (std::isfinite(first_order_work) && first_order_work > 0.0) {
-    lo = std::max(options.work_lo, first_order_work / 50.0);
-    hi = std::min(options.work_hi, first_order_work * 50.0);
-    if (!(hi > lo)) {
-      lo = options.work_lo;
-      hi = options.work_hi;
-    }
-  }
-  return golden_section_minimize(
-      [&](double w) {
-        return exact_overhead(kind, segments_n, chunks_m, w, params,
-                              options.evaluation);
-      },
-      lo, hi, options.work_tolerance);
 }
 
 /// Memoized, pool-parallel evaluator of (n, m) cells. Cell evaluations are
@@ -214,14 +171,6 @@ class CellEvaluator {
 
  private:
   CellValue evaluate(const Cell& cell) const {
-    if (options_.legacy_cell_evaluation) {
-      CellValue value;
-      value.work =
-          legacy_optimize_work_length(kind_, cell.n, cell.m, params_, options_);
-      value.overhead = exact_overhead(kind_, cell.n, cell.m, value.work, params_,
-                                      options_.evaluation);
-      return value;
-    }
     return evaluate_cell_fused(kind_, cell.n, cell.m, params_, options_);
   }
 
@@ -268,9 +217,6 @@ double optimize_work_length(PatternKind kind, std::size_t segments_n,
                             std::size_t chunks_m, const ModelParams& params,
                             const OptimizerOptions& options) {
   params.validate();
-  if (options.legacy_cell_evaluation) {
-    return legacy_optimize_work_length(kind, segments_n, chunks_m, params, options);
-  }
   return evaluate_cell_fused(kind, segments_n, chunks_m, params, options).work;
 }
 
@@ -379,33 +325,8 @@ NumericSolution optimize_pattern(PatternKind kind, const ModelParams& params,
     }
   }
 
-  n = best.n;
-  m = best.m;
-  const double best_overhead = best_value.overhead;
-  const double best_work = best_value.work;
-  NumericSolution solution{
-      make_pattern(kind, best_work, n, m, params.costs.recall), best_overhead, n, m};
-
-  if (options.optimize_chunk_fractions && search_m && m > 1) {
-    // Replace the closed-form chunk fractions by numerically optimized ones
-    // and keep whichever evaluates better (they should coincide; the
-    // comparison is the validation).
-    const std::vector<double> beta =
-        optimize_chunk_fractions_numeric(m, params.costs.recall);
-    std::vector<SegmentSpec> segments(n);
-    for (auto& segment : segments) {
-      segment.alpha = 1.0 / static_cast<double>(n);
-      segment.beta = beta;
-    }
-    const PatternSpec refined(best_work, std::move(segments));
-    const double refined_overhead =
-        evaluate_pattern(refined, params, options.evaluation).overhead;
-    if (refined_overhead < solution.overhead) {
-      solution.pattern = refined;
-      solution.overhead = refined_overhead;
-    }
-  }
-  return solution;
+  return {make_pattern(kind, best_value.work, best.n, best.m, params.costs.recall),
+          best_value.overhead, best.n, best.m};
 }
 
 std::vector<double> optimize_chunk_fractions_numeric(std::size_t chunks,

@@ -72,6 +72,8 @@ class SignatureHasher {
 /// GridSignature and ChainKey. Warm-start policy, scan radius, seed source
 /// and pool choice are deliberately excluded: the runner guarantees they
 /// do not change results (pinned by the determinism/bit-identity tests).
+/// Two retired option slots still mix a constant, so every signature keeps
+/// its value (pinned by GridSignature.PinnedLiteralValues).
 void mix_result_options(SignatureHasher& hasher, const SweepOptions& options) {
   hasher.mix(options.numeric_optimum);
   const OptimizerOptions& opt = options.optimizer;
@@ -80,10 +82,10 @@ void mix_result_options(SignatureHasher& hasher, const SweepOptions& options) {
   hasher.mix(opt.work_lo);
   hasher.mix(opt.work_hi);
   hasher.mix(opt.work_tolerance);
-  hasher.mix(opt.optimize_chunk_fractions);
+  hasher.mix(false);  // retired slot: the numeric chunk-fraction refinement
   hasher.mix(opt.evaluation.faulty_verifications);
   hasher.mix(opt.evaluation.faulty_operations);
-  hasher.mix(opt.legacy_cell_evaluation);
+  hasher.mix(false);  // retired slot: the legacy per-probe cell evaluation
 }
 
 std::string hex64(std::uint64_t value) {
@@ -484,7 +486,6 @@ SweepTable SweepRunner::run_impl(const ScenarioGrid& grid,
   cold.serial_cells = true;
   cold.seed_segments_n = 0;
   cold.seed_chunks_m = 0;
-  cold.work_hint = 0.0;
 
   // Streamed delivery is serialized so sinks stay lock-free; the lock is
   // uncontended relative to the per-cell optimization cost.
@@ -529,7 +530,6 @@ SweepTable SweepRunner::run_impl(const ScenarioGrid& grid,
         bool have_warm = false;
         std::size_t warm_n = 1;
         std::size_t warm_m = 1;
-        double warm_work = 0.0;
         for (std::size_t in = 0; in < nodes_n; ++in) {
           for (std::size_t ir = 0; ir < rates_n; ++ir) {
             if (aborted.load(std::memory_order_relaxed) ||
@@ -589,7 +589,6 @@ SweepTable SweepRunner::run_impl(const ScenarioGrid& grid,
                 if (warm) {
                   opts.seed_segments_n = warm_n;
                   opts.seed_chunks_m = warm_m;
-                  opts.work_hint = warm_work;
                   opts.scan_radius = options_.warm_scan_radius;
                 } else if (const ChainSeed* external =
                                nearest_external_seed(seeds, point)) {
@@ -599,7 +598,6 @@ SweepTable SweepRunner::run_impl(const ScenarioGrid& grid,
                   // the descent lands on the same lattice optimum.
                   opts.seed_segments_n = external->cell.segments_n;
                   opts.seed_chunks_m = external->cell.chunks_m;
-                  opts.work_hint = external->cell.work;
                   opts.scan_radius = options_.warm_scan_radius;
                 }
                 const NumericSolution solution =
@@ -616,7 +614,6 @@ SweepTable SweepRunner::run_impl(const ScenarioGrid& grid,
               if (std::isfinite(cell.overhead)) {
                 warm_n = cell.segments_n;
                 warm_m = cell.chunks_m;
-                warm_work = cell.work;
                 have_warm = true;
               } else {
                 have_warm = false;  // degenerate point; reseed the next cold

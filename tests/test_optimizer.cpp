@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "resilience/core/first_order.hpp"
 #include "resilience/core/platform.hpp"
@@ -160,31 +162,22 @@ TEST(OptimizePattern, WiderScanWindowNeverWorsensTheSolution) {
 }
 
 TEST(OptimizePattern, ChunkFractionRefinementDoesNotRegress) {
+  // The optimizer trusts the Eq. (18) closed-form chunk fractions; the
+  // same (n, m, W) with numerically refined fractions must not evaluate
+  // better under the exact model.
   const auto params = rc::hera().model_params();
-  rc::OptimizerOptions options;
-  options.optimize_chunk_fractions = true;
-  const auto refined = rc::optimize_pattern(rc::PatternKind::kDMV, params, options);
-  const auto plain = rc::optimize_pattern(rc::PatternKind::kDMV, params);
-  EXPECT_LE(refined.overhead, plain.overhead * (1.0 + 1e-9));
-}
-
-TEST(OptimizeWorkLength, WorkHintCannotChangeTheResult) {
-  // The W bracket is canonical — always centered on the cell's own
-  // first-order W*, never the caller's hint — so any hint (absurd or
-  // ideal) must return the bit-identical W. This purity is what lets the
-  // sweep cache reuse finished cells across grids.
-  const auto params = rc::hera().model_params();
-  for (const auto kind : {rc::PatternKind::kDMV, rc::PatternKind::kDV}) {
-    const double nominal = rc::optimize_work_length(kind, 3, 3, params);
-    for (const double hint : {nominal * 1e3, nominal / 1e3, nominal}) {
-      rc::OptimizerOptions options;
-      options.work_hint = hint;
-      const double hinted =
-          rc::optimize_work_length(kind, 3, 3, params, options);
-      EXPECT_EQ(hinted, nominal)
-          << rc::pattern_name(kind) << " hint " << hint;
-    }
+  const auto solution = rc::optimize_pattern(rc::PatternKind::kDMV, params);
+  ASSERT_GT(solution.chunks_m, 1u);
+  const std::vector<double> beta =
+      rc::optimize_chunk_fractions_numeric(solution.chunks_m, params.costs.recall);
+  std::vector<rc::SegmentSpec> segments(solution.segments_n);
+  for (auto& segment : segments) {
+    segment.alpha = 1.0 / static_cast<double>(solution.segments_n);
+    segment.beta = beta;
   }
+  const rc::PatternSpec refined(solution.pattern.work(), std::move(segments));
+  EXPECT_LE(solution.overhead,
+            rc::evaluate_pattern(refined, params).overhead * (1.0 + 1e-9));
 }
 
 TEST(OptimizeWorkLength, MinimizerIsInteriorToTheDerivedBracket) {
@@ -211,7 +204,6 @@ TEST(OptimizePattern, WarmSeedMatchesColdSolution) {
     rc::OptimizerOptions warm;
     warm.seed_segments_n = cold.segments_n;
     warm.seed_chunks_m = cold.chunks_m;
-    warm.work_hint = cold.pattern.work();
     warm.scan_radius = 1;
     const auto seeded = rc::optimize_pattern(kind, params, warm);
     EXPECT_EQ(seeded.segments_n, cold.segments_n) << rc::pattern_name(kind);
@@ -228,23 +220,6 @@ TEST(OptimizePattern, WarmSeedMatchesColdSolution) {
     const auto recovered = rc::optimize_pattern(kind, params, misplaced);
     EXPECT_EQ(recovered.segments_n, cold.segments_n) << rc::pattern_name(kind);
     EXPECT_EQ(recovered.chunks_m, cold.chunks_m) << rc::pattern_name(kind);
-  }
-}
-
-TEST(OptimizePattern, LegacyCellEvaluationAgreesWithFusedPath) {
-  // The pre-sweep baseline (per-probe make_pattern + evaluate_pattern) and
-  // the bound-evaluator path must find the same optimum — the agreement
-  // BENCH_micro.json's sweep section asserts at full-grid scale.
-  const auto params = rc::atlas().model_params();
-  for (const auto kind : {rc::PatternKind::kD, rc::PatternKind::kDMV}) {
-    rc::OptimizerOptions legacy;
-    legacy.legacy_cell_evaluation = true;
-    const auto a = rc::optimize_pattern(kind, params, legacy);
-    const auto b = rc::optimize_pattern(kind, params);
-    EXPECT_EQ(a.segments_n, b.segments_n) << rc::pattern_name(kind);
-    EXPECT_EQ(a.chunks_m, b.chunks_m) << rc::pattern_name(kind);
-    EXPECT_NEAR(a.overhead, b.overhead, std::fabs(b.overhead) * 1e-9)
-        << rc::pattern_name(kind);
   }
 }
 
